@@ -13,14 +13,20 @@
 //!    1M / 1.5 GiB quick; override with `DWC_BENCH9_BIG_RECORDS` and
 //!    `DWC_BENCH9_CEILING_MB` (the CI storage-smoke job crawls the 10M
 //!    preset this way).
-//! 2. **Throughput phase.** At a common scale both backends can hold, the
+//! 2. **Build-scaling phase.** The same model is stream-built again at a
+//!    quarter of the big record count. The per-record build cost at the big
+//!    scale may be at most [`MAX_BUILD_COST_GROWTH`]× the cost at the
+//!    quarter scale: a superlinear build (e.g. a clustering interner) fails
+//!    here instead of hiding inside a single-scale number.
+//! 3. **Throughput phase.** At a common scale both backends can hold, the
 //!    identical crawl runs resident and paged. The reports must be
 //!    bit-identical (policies cannot see the storage engine), and the paged
 //!    backend must sustain at least [`REQUIRED_THROUGHPUT`]× the resident
 //!    pages/sec.
 //!
-//! Measured numbers go to `BENCH_9.json` at the repo root; either gate
-//! failing fails `cargo bench` (and CI's bench gate) loudly.
+//! Measured numbers go to `BENCH_9.json` at the repo root, with the mode and
+//! both build scales; any gate failing fails `cargo bench` (and CI's bench
+//! gate) loudly.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use dwc_core::{CrawlConfig, CrawlReport, Crawler, PolicyKind, ProberMode};
@@ -36,6 +42,10 @@ use std::time::Instant;
 /// The throughput gate: paged serving must sustain at least this fraction
 /// of the resident backend's pages/sec on the identical crawl.
 const REQUIRED_THROUGHPUT: f64 = 0.7;
+
+/// The build-scaling gate: per-record build cost at the big scale over the
+/// cost at a quarter of it.
+const MAX_BUILD_COST_GROWTH: f64 = 1.5;
 
 /// One deterministic seed for every phase.
 const SEED: u64 = 3;
@@ -128,10 +138,14 @@ fn run_crawl(server: &WebDbServer, max_rounds: u64) -> CrawlReport {
     crawler.run()
 }
 
-/// Phase 1: stream-generate `records` records into file-backed segments and
-/// crawl them paged. Returns (pages/sec, report, build seconds, disk bytes).
-fn big_paged_phase(records: u64, budget: MemoryBudget, dir: &Path) -> (f64, CrawlReport, f64, u64) {
-    let model = big_model(records);
+/// Stream-generates `records` records of `model` straight into file-backed
+/// segments under `dir`. Returns the table and the build's wall seconds.
+fn stream_build(
+    model: &dwc_datagen::DomainModel,
+    records: u64,
+    budget: MemoryBudget,
+    dir: &Path,
+) -> (SegmentTable, f64) {
     let build_start = Instant::now();
     let pager = FilePager::open(dir, DEFAULT_PAGE_SIZE).expect("open segment dir");
     let mut builder = SegmentTableBuilder::new(model.schema(), Box::new(pager))
@@ -143,8 +157,29 @@ fn big_paged_phase(records: u64, budget: MemoryBudget, dir: &Path) -> (f64, Craw
             .expect("push streamed record");
     });
     let seg = builder.finish(budget.pool_bytes()).expect("finish segments");
-    let build_secs = build_start.elapsed().as_secs_f64();
-    let disk = seg.storage_bytes();
+    (seg, build_start.elapsed().as_secs_f64())
+}
+
+/// What the big paged phase measured.
+struct BigPhase {
+    pages_per_sec: f64,
+    report: CrawlReport,
+    build_secs: f64,
+    disk_bytes: u64,
+    /// Longest interner probe the big build needed.
+    interner_max_probe: usize,
+}
+
+/// Phase 1: stream-build `records` records of `model` and crawl them paged.
+fn big_paged_phase(
+    model: &dwc_datagen::DomainModel,
+    records: u64,
+    budget: MemoryBudget,
+    dir: &Path,
+) -> BigPhase {
+    let (seg, build_secs) = stream_build(model, records, budget, dir);
+    let disk_bytes = seg.storage_bytes();
+    let interner_max_probe = seg.interner().max_probe_len();
 
     let schema = model.schema();
     let server = WebDbServer::paged(Arc::new(seg), interface(&schema))
@@ -153,7 +188,13 @@ fn big_paged_phase(records: u64, budget: MemoryBudget, dir: &Path) -> (f64, Craw
     let start = Instant::now();
     let report = run_crawl(&server, rounds);
     let secs = start.elapsed().as_secs_f64().max(1e-9);
-    (report.rounds as f64 / secs, report, build_secs, disk)
+    BigPhase {
+        pages_per_sec: report.rounds as f64 / secs,
+        report,
+        build_secs,
+        disk_bytes,
+        interner_max_probe,
+    }
 }
 
 /// Phase 2: resident vs paged on the identical common-scale crawl.
@@ -202,14 +243,24 @@ fn bench_storage(c: &mut Criterion) {
 
     // Big paged phase FIRST, under the sampler: nothing resident-sized may
     // exist yet, so the observed peak is the out-of-core claim itself.
+    let model = big_model(big_records);
     let big_dir = scratch_dir("big");
     let sampler = RssSampler::start();
-    let (big_pps, big_report, build_secs, disk_bytes) =
-        big_paged_phase(big_records, budget, &big_dir);
+    let big = big_paged_phase(&model, big_records, budget, &big_dir);
     let peak_kb = sampler.stop();
     let peak_mb = peak_kb / 1024;
     std::fs::remove_dir_all(&big_dir).ok();
-    assert!(big_report.records > 0, "the big crawl must harvest records");
+    assert!(big.report.records > 0, "the big crawl must harvest records");
+
+    // Build-scaling phase: the same model at a quarter of the records,
+    // after the sampler so it cannot raise the out-of-core peak.
+    let small_records = (big_records / 4).max(1);
+    let small_dir = scratch_dir("small");
+    let (_, small_build_secs) = stream_build(&model, small_records, budget, &small_dir);
+    std::fs::remove_dir_all(&small_dir).ok();
+    let small_rps = small_records as f64 / small_build_secs.max(1e-9);
+    let big_rps = big_records as f64 / big.build_secs.max(1e-9);
+    let cost_growth = small_rps / big_rps;
 
     // Throughput phase at a scale both backends can hold.
     let common_dir = scratch_dir("common");
@@ -219,17 +270,26 @@ fn bench_storage(c: &mut Criterion) {
 
     let json = format!(
         "{{\n  \"bench\": \"storage\",\n  \"mode\": \"{}\",\n  \"big_records\": {},\n  \
-         \"big_build_secs\": {:.1},\n  \"big_disk_bytes\": {},\n  \
+         \"big_build_secs\": {:.1},\n  \"big_build_records_per_sec\": {:.0},\n  \
+         \"small_records\": {},\n  \"small_build_records_per_sec\": {:.0},\n  \
+         \"build_cost_growth\": {:.3},\n  \"max_build_cost_growth\": {:.1},\n  \
+         \"interner_max_probe\": {},\n  \"big_disk_bytes\": {},\n  \
          \"big_crawl_records\": {},\n  \"big_pages_per_sec\": {:.0},\n  \
          \"peak_rss_mb\": {},\n  \"rss_ceiling_mb\": {},\n  \
          \"resident_pages_per_sec\": {:.0},\n  \"paged_pages_per_sec\": {:.0},\n  \
          \"throughput_ratio\": {:.3},\n  \"required_throughput_ratio\": {:.1}\n}}\n",
         if quick { "quick" } else { "full" },
         big_records,
-        build_secs,
-        disk_bytes,
-        big_report.records,
-        big_pps,
+        big.build_secs,
+        big_rps,
+        small_records,
+        small_rps,
+        cost_growth,
+        MAX_BUILD_COST_GROWTH,
+        big.interner_max_probe,
+        big.disk_bytes,
+        big.report.records,
+        big.pages_per_sec,
         peak_mb,
         ceiling_mb,
         resident_pps,
@@ -241,7 +301,9 @@ fn bench_storage(c: &mut Criterion) {
     std::fs::write(&out, &json).expect("write BENCH_9.json");
     println!(
         "storage: {big_records} records, peak RSS {peak_mb} MiB (ceiling {ceiling_mb}), \
-         throughput ratio {ratio:.2}x (gate {REQUIRED_THROUGHPUT:.1}x) -> {}",
+         build cost growth {cost_growth:.2}x from {small_records} (gate \
+         {MAX_BUILD_COST_GROWTH:.1}x), throughput ratio {ratio:.2}x (gate \
+         {REQUIRED_THROUGHPUT:.1}x) -> {}",
         out.display()
     );
 
@@ -249,6 +311,11 @@ fn bench_storage(c: &mut Criterion) {
         peak_mb <= ceiling_mb,
         "out-of-core crawl of {big_records} records peaked at {peak_mb} MiB RSS, over the \
          {ceiling_mb} MiB ceiling"
+    );
+    assert!(
+        cost_growth <= MAX_BUILD_COST_GROWTH,
+        "building {big_records} records cost {cost_growth:.2}x as much per record as building \
+         {small_records}, over the {MAX_BUILD_COST_GROWTH} gate: the build is superlinear"
     );
     assert!(
         ratio >= REQUIRED_THROUGHPUT,

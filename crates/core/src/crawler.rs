@@ -53,6 +53,9 @@ pub struct Crawler<S: DataSource> {
     /// frame is written lazily at the first [`Crawler::step`] so seeds
     /// planted between construction and the first query are captured.
     journal: Option<crate::journal::StateJournal>,
+    /// Set when the configured journal could not be created; the first
+    /// [`Crawler::step`] reports it, once sinks are attached.
+    journal_open_failed: bool,
 }
 
 impl<S: DataSource> Crawler<S> {
@@ -79,7 +82,7 @@ impl<S: DataSource> Crawler<S> {
         planner.init(&mut state);
         let executor = Executor::from_config(&config);
         let ingestor = Ingestor::new(matches!(config.query_mode, QueryMode::Conjunctive { .. }));
-        let journal = Self::open_journal(&config);
+        let (journal, journal_open_failed) = Self::open_journal(&config);
         Crawler {
             source,
             planner,
@@ -90,15 +93,26 @@ impl<S: DataSource> Crawler<S> {
             bus: EventBus::new(),
             requeues: HashMap::new(),
             journal,
+            journal_open_failed,
         }
     }
 
-    /// Creates the state journal named by the configuration, if any.
-    /// Creation failures are non-fatal, mirroring checkpoint persistence:
-    /// the crawl proceeds unjournaled.
-    fn open_journal(config: &CrawlConfig) -> Option<crate::journal::StateJournal> {
-        let path = config.journal_path.as_deref()?;
-        crate::journal::StateJournal::create(path).ok()
+    /// Creates the state journal named by the configuration, if any, and
+    /// says whether creating it failed. Creation failures are non-fatal,
+    /// mirroring checkpoint persistence: the crawl proceeds unjournaled.
+    fn open_journal(config: &CrawlConfig) -> (Option<crate::journal::StateJournal>, bool) {
+        match config.journal_path.as_deref().map(crate::journal::StateJournal::create) {
+            None => (None, false),
+            Some(Ok(journal)) => (Some(journal), false),
+            Some(Err(_)) => (None, true),
+        }
+    }
+
+    /// Stops journaling after a failed journal write and reports it as
+    /// [`CrawlEvent::JournalFailed`]; the crawl proceeds unjournaled.
+    fn journal_failed(&mut self) {
+        self.journal = None;
+        self.bus.emit(CrawlEvent::JournalFailed);
     }
 
     /// Resumes a checkpointed crawl against `source` with a fresh policy
@@ -163,7 +177,7 @@ impl<S: DataSource> Crawler<S> {
             queries: checkpoint.queries,
             records: state.local.num_records() as u64,
         });
-        let journal = Self::open_journal(&config);
+        let (journal, journal_open_failed) = Self::open_journal(&config);
         Crawler {
             source,
             planner,
@@ -174,6 +188,7 @@ impl<S: DataSource> Crawler<S> {
             bus,
             requeues: HashMap::new(),
             journal,
+            journal_open_failed,
         }
     }
 
@@ -342,12 +357,15 @@ impl<S: DataSource> Crawler<S> {
     /// then the driver's bookkeeping. Returns `None` when seeds and frontier
     /// are both exhausted.
     pub fn step(&mut self) -> Option<()> {
+        if std::mem::take(&mut self.journal_open_failed) {
+            self.bus.emit(CrawlEvent::JournalFailed);
+        }
         if self.journal.as_ref().is_some_and(|j| !j.has_base()) {
             let base = self.checkpoint();
             // Journal persistence failures never kill the crawl, mirroring
             // checkpoint-store semantics; the crawl proceeds unjournaled.
             if self.journal.as_mut().expect("presence checked").write_base(&base).is_err() {
-                self.journal = None;
+                self.journal_failed();
             }
         }
         let planned = self.planner.plan(&mut self.state, &self.ingestor, &mut self.bus)?;
@@ -410,7 +428,7 @@ impl<S: DataSource> Crawler<S> {
         if let Some(journal) = self.journal.as_mut() {
             let (rounds, queries) = (self.bus.metrics().rounds(), self.bus.metrics().queries());
             if journal.append_delta(&self.state, rounds, queries).is_err() {
-                self.journal = None;
+                self.journal_failed();
             }
         }
         self.maybe_checkpoint();
@@ -441,7 +459,7 @@ impl<S: DataSource> Crawler<S> {
             // and drop the deltas it absorbed.
             if let Some(journal) = self.journal.as_mut() {
                 if journal.write_base(&snapshot).is_err() {
-                    self.journal = None;
+                    self.journal_failed();
                 }
             }
         }

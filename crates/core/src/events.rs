@@ -110,11 +110,11 @@ impl BreakerPhase {
 /// The taxonomy spans all layers: planner (`QueryPlanned`), executor
 /// (`PageRequested` through `QueryAborted`), ingestor (`PageFetched`
 /// carries the harvest), the driver's bookkeeping (`QueryCompleted`,
-/// `QueryRequeued`, checkpoint events, `CrawlResumed`/`CrawlFinished`),
-/// the fleet coordinator (`SliceScheduled` through `TenantPreempted`), the
-/// fleet supervisor (`BreakerTransition`, `WorkerRestarted`,
-/// `JobAbandoned`) and the serving tier (`RequestEnqueued` through
-/// `ServiceRestarted`).
+/// `QueryRequeued`, checkpoint and journal events, `CrawlResumed` /
+/// `CrawlFinished`), the fleet coordinator (`SliceScheduled` through
+/// `TenantPreempted`), the fleet supervisor (`BreakerTransition`,
+/// `WorkerRestarted`, `JobAbandoned`) and the serving tier
+/// (`RequestEnqueued` through `ServiceRestarted`).
 ///
 /// Every variant folds into exactly the report/registry fields below —
 /// [`crate::metrics::MetricsRegistry::record`] is the *only* place a
@@ -135,6 +135,7 @@ impl BreakerPhase {
 /// | `QueryRequeued` | `CrawlReport::requeued_queries` |
 /// | `CheckpointWritten` | `CrawlReport::checkpoints_written` |
 /// | `CheckpointFailed` | `CrawlReport::checkpoint_failures` |
+/// | `JournalFailed` | `CrawlReport::journal_failures` |
 /// | `CrawlResumed` | seeds `rounds`/`queries`/`records`; pushes a trace point |
 /// | `CrawlFinished` | `CrawlReport::stop` / `final_coverage` |
 /// | `BreakerTransition` | [`crate::JobHealth`] `breaker_trips` / `breaker_recoveries` |
@@ -212,6 +213,9 @@ pub enum CrawlEvent {
     /// A periodic checkpoint save failed (the crawl continues; the previous
     /// on-disk generation remains valid).
     CheckpointFailed,
+    /// The state journal could not be created or written; the crawl
+    /// continues unjournaled (recovery falls back to the last checkpoint).
+    JournalFailed,
     /// The crawl resumed from a checkpoint with these already-billed
     /// counters. Also emitted as a snapshot when a sink attaches to a crawl
     /// that already has history, so every stream is replayable from its
@@ -410,6 +414,7 @@ impl CrawlEvent {
                 format!("{{\"event\":\"checkpoint_written\",\"rotated_backup\":{rotated_backup}}}")
             }
             CrawlEvent::CheckpointFailed => "{\"event\":\"checkpoint_failed\"}".to_string(),
+            CrawlEvent::JournalFailed => "{\"event\":\"journal_failed\"}".to_string(),
             CrawlEvent::CrawlResumed { rounds, queries, records } => format!(
                 "{{\"event\":\"crawl_resumed\",\"rounds\":{rounds},\"queries\":{queries},\
                  \"records\":{records}}}"
@@ -524,6 +529,7 @@ impl CrawlEvent {
                 CrawlEvent::CheckpointWritten { rotated_backup: json_bool(line, "rotated_backup")? }
             }
             "checkpoint_failed" => CrawlEvent::CheckpointFailed,
+            "journal_failed" => CrawlEvent::JournalFailed,
             "crawl_resumed" => CrawlEvent::CrawlResumed {
                 rounds: json_u64(line, "rounds")?,
                 queries: json_u64(line, "queries")?,
@@ -758,6 +764,7 @@ mod tests {
             CrawlEvent::QueryRequeued { candidate: 12 },
             CrawlEvent::CheckpointWritten { rotated_backup: true },
             CrawlEvent::CheckpointFailed,
+            CrawlEvent::JournalFailed,
             CrawlEvent::CrawlResumed { rounds: 100, queries: 5, records: 42 },
             CrawlEvent::CrawlFinished { stop: StopReason::RoundBudget, coverage: Some(0.75) },
             CrawlEvent::CrawlFinished { stop: StopReason::FrontierExhausted, coverage: None },

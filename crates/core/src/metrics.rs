@@ -47,6 +47,9 @@ pub struct CrawlReport {
     /// Periodic checkpoint saves that failed (the crawl continues; the
     /// previous on-disk generation remains valid).
     pub checkpoint_failures: u64,
+    /// State-journal creations or writes that failed (the crawl continues
+    /// unjournaled after the first).
+    pub journal_failures: u64,
     /// Why the crawl stopped.
     pub stop: StopReason,
     /// Per-query progress trace.
@@ -82,6 +85,7 @@ pub struct MetricsRegistry {
     page_cache_hits: u64,
     checkpoints_written: u64,
     checkpoint_failures: u64,
+    journal_failures: u64,
     fault_streak: u32,
     breaker_trips: u64,
     breaker_recoveries: u64,
@@ -190,6 +194,7 @@ impl MetricsRegistry {
             CrawlEvent::QueryRequeued { .. } => self.requeued_queries += 1,
             CrawlEvent::CheckpointWritten { .. } => self.checkpoints_written += 1,
             CrawlEvent::CheckpointFailed => self.checkpoint_failures += 1,
+            CrawlEvent::JournalFailed => self.journal_failures += 1,
             CrawlEvent::CrawlResumed { rounds, queries, records } => {
                 self.rounds = rounds;
                 self.queries = queries;
@@ -370,6 +375,7 @@ impl MetricsRegistry {
             page_cache_hits: self.page_cache_hits,
             checkpoints_written: self.checkpoints_written,
             checkpoint_failures: self.checkpoint_failures,
+            journal_failures: self.journal_failures,
             stop: self.stop?,
             trace: self.trace.clone(),
             final_coverage: self.final_coverage,

@@ -8,14 +8,24 @@
 //!
 //! The interner is built for the per-page hot path: all value bytes live in
 //! one arena `String` (one `(offset, len)` span per value instead of one heap
-//! allocation per value), every value's [`value_hash`] is stored so rehashing
-//! on table growth never touches the strings, and the lookup table is a flat
-//! open-addressing array probed with that same precomputed hash. Callers on
-//! the hot path compute the hash once via [`value_hash`] and pass it to
-//! [`ValueInterner::intern_prehashed`] / [`ValueInterner::get_prehashed`] (or
-//! use the batch [`ValueInterner::intern_page`]) so each string is hashed
-//! exactly once per sighting — the convenience [`ValueInterner::intern`] /
-//! [`ValueInterner::get`] wrappers do it for you.
+//! allocation per value), every value's hash is stored so rehashing on table
+//! growth never touches the strings, and the lookup table is a flat
+//! open-addressing array probed with that same stored hash. Each string is
+//! hashed exactly once per sighting, whether it comes through
+//! [`ValueInterner::intern`], [`ValueInterner::get`] or the batch
+//! [`ValueInterner::intern_page`].
+//!
+//! Hashing is the interner's own business, because interned strings come from
+//! crawled pages and crawled pages are untrusted. Each interner draws a random
+//! seed when it is created and mixes it into every hash, so a page cannot
+//! pick keys that collide without knowing that seed. Probing then starts from
+//! the hash's high bits (Fibonacci hashing), so keys that differ only in a
+//! few bytes still land far apart. Together they keep interning linear-time
+//! on regular-looking and hostile key sets alike;
+//! [`ValueInterner::max_probe_len`] reports the longest probe the table has
+//! needed. The seed travels in the packed image, so a reloaded interner
+//! resolves every id it held. Ids never depend on the seed: they are
+//! assigned in insertion order.
 
 use std::fmt;
 
@@ -47,36 +57,61 @@ impl fmt::Display for AttrId {
     }
 }
 
-/// Multiplier from the FxHash family (`0x51_7c_c1_b7_27_22_0a_95` is the
-/// 64-bit constant rustc's own interners use). Not cryptographic — chosen for
-/// throughput on short identifier-like strings.
-const FX_SEED: u64 = 0x51_7c_c1_b7_27_22_0a_95;
+/// Multiplier of the per-word fold (the 64-bit FxHash constant). Not
+/// cryptographic — chosen for throughput on short identifier-like strings.
+const FOLD_MUL: u64 = 0x51_7c_c1_b7_27_22_0a_95;
 
+/// Fibonacci-hashing multiplier: 2^64 divided by the golden ratio.
+const FIB_MUL: u64 = 0x9E37_79B9_7F4A_7C15;
+
+/// Mixes one 8-byte word into the hash state: a full 64×64→128-bit multiply
+/// folded back to 64 bits by XOR-ing its halves. Unlike a plain
+/// multiply-xor step, flipping input bits changes the output by an amount
+/// that depends on the (seeded) state, so there is no fixed bit difference
+/// between two keys that collides under every seed.
 #[inline]
-fn fx_mix(hash: u64, word: u64) -> u64 {
-    (hash.rotate_left(5) ^ word).wrapping_mul(FX_SEED)
+fn mix(state: u64, word: u64) -> u64 {
+    let product = u128::from(state ^ word) * u128::from(FOLD_MUL);
+    (product as u64) ^ ((product >> 64) as u64)
 }
 
-/// FxHash-style hash of an `(attribute, string)` pair, folding eight bytes
-/// per multiply. This is the interner's canonical hash: compute it once per
-/// sighting and reuse it for both [`ValueInterner::get_prehashed`] and
-/// [`ValueInterner::intern_prehashed`].
+/// Seeded hash of an `(attribute, string)` pair, folding eight bytes per
+/// multiply. The length and attribute open the state, so the zero padding of
+/// a trailing partial word never makes `"a"` and `"a\0"` collide.
 #[inline]
-pub fn value_hash(attr: AttrId, value: &str) -> u64 {
+fn value_hash(seed: u64, attr: AttrId, value: &str) -> u64 {
     let bytes = value.as_bytes();
-    let mut h = fx_mix(bytes.len() as u64, u64::from(attr.0));
+    let mut h = mix(seed, ((bytes.len() as u64) << 16) | u64::from(attr.0));
     let mut chunks = bytes.chunks_exact(8);
     for chunk in &mut chunks {
         let word = u64::from_le_bytes(chunk.try_into().expect("chunks_exact yields 8 bytes"));
-        h = fx_mix(h, word);
+        h = mix(h, word);
     }
     let rem = chunks.remainder();
     if !rem.is_empty() {
         let mut word = [0u8; 8];
         word[..rem.len()].copy_from_slice(rem);
-        h = fx_mix(h, u64::from_le_bytes(word));
+        h = mix(h, u64::from_le_bytes(word));
     }
     h
+}
+
+/// A fresh random hash seed, drawn from the standard library's per-process
+/// random keys (each `RandomState` also differs from the last one built).
+fn random_seed() -> u64 {
+    use std::hash::{BuildHasher, Hasher};
+    let mut hasher = std::collections::hash_map::RandomState::new().build_hasher();
+    hasher.write_u64(0);
+    hasher.finish()
+}
+
+/// The slot a probe for `hash` starts at, in a table of `slots` slots (a
+/// power of two, at least 2): Fibonacci hashing, which takes the top
+/// `log2(slots)` bits of `hash * FIB_MUL`, so every bit of the hash moves
+/// the start.
+#[inline]
+fn home_slot(hash: u64, slots: usize) -> usize {
+    (hash.wrapping_mul(FIB_MUL) >> (64 - slots.trailing_zeros())) as usize
 }
 
 /// Vacant-slot sentinel in the open-addressing table. `u32::MAX` can never be
@@ -87,9 +122,9 @@ const EMPTY_SLOT: u32 = u32::MAX;
 ///
 /// Storage is a single byte arena plus parallel per-id columns (span, attr,
 /// hash); lookups probe a flat power-of-two open-addressing table with
-/// precomputed hashes, so probing with a borrowed `&str` never allocates and
+/// stored hashes, so probing with a borrowed `&str` never allocates and
 /// growth never rehashes a string.
-#[derive(Debug, Default, Clone)]
+#[derive(Debug, Clone)]
 pub struct ValueInterner {
     /// All value bytes, concatenated in insertion order.
     arena: String,
@@ -97,35 +132,56 @@ pub struct ValueInterner {
     spans: Vec<(u32, u32)>,
     /// Owning attribute, one per [`ValueId`].
     attrs: Vec<AttrId>,
-    /// Precomputed [`value_hash`], one per [`ValueId`].
+    /// Stored seeded hash, one per [`ValueId`].
     hashes: Vec<u64>,
     /// Open-addressing table of id indices (power-of-two length, linear
-    /// probing, [`EMPTY_SLOT`] = vacant). Empty until the first intern.
-    slots: Vec<u32>,
+    /// probing from [`home_slot`], [`EMPTY_SLOT`] = vacant). Empty until the
+    /// first intern; only ever replaced whole, by [`ValueInterner::rebuild_slots`].
+    slots: Box<[u32]>,
     /// One past the highest attribute slot seen, for keyword scans.
     num_attrs: u32,
+    /// Slots examined by the longest probe that placed an id in `slots`.
+    max_probe: u32,
+    /// This interner's hash seed, drawn once at creation.
+    seed: u64,
+}
+
+impl Default for ValueInterner {
+    fn default() -> Self {
+        Self::with_seed(random_seed())
+    }
 }
 
 impl ValueInterner {
-    /// Creates an empty interner.
+    /// Creates an empty interner with a fresh random hash seed.
     pub fn new() -> Self {
         Self::default()
     }
 
-    /// Interns `(attr, value)`, returning the existing id when already known.
-    pub fn intern(&mut self, attr: AttrId, value: &str) -> ValueId {
-        self.intern_prehashed(attr, value, value_hash(attr, value))
+    fn with_seed(seed: u64) -> Self {
+        ValueInterner {
+            arena: String::new(),
+            spans: Vec::new(),
+            attrs: Vec::new(),
+            hashes: Vec::new(),
+            slots: Box::default(),
+            num_attrs: 0,
+            max_probe: 0,
+            seed,
+        }
     }
 
-    /// Like [`ValueInterner::intern`], but with the caller supplying
-    /// `value_hash(attr, value)` so a string sighted once is hashed once —
-    /// the same hash drives the lookup probe and, on a miss, the insertion.
-    pub fn intern_prehashed(&mut self, attr: AttrId, value: &str, hash: u64) -> ValueId {
+    /// Interns `(attr, value)`, returning the existing id when already known.
+    /// The one hash drives both the lookup probe and, on a miss, the
+    /// insertion.
+    pub fn intern(&mut self, attr: AttrId, value: &str) -> ValueId {
+        let hash = value_hash(self.seed, attr, value);
         if self.slots.is_empty() || (self.spans.len() + 1) * 8 > self.slots.len() * 7 {
             self.grow_slots();
         }
         let mask = self.slots.len() - 1;
-        let mut probe = (hash as usize) & mask;
+        let mut probe = home_slot(hash, self.slots.len());
+        let mut examined = 1;
         loop {
             let slot = self.slots[probe];
             if slot == EMPTY_SLOT {
@@ -140,6 +196,7 @@ impl ValueInterner {
                 self.hashes.push(hash);
                 self.slots[probe] = id.0;
                 self.num_attrs = self.num_attrs.max(u32::from(attr.0) + 1);
+                self.max_probe = self.max_probe.max(examined);
                 return id;
             }
             let idx = slot as usize;
@@ -147,22 +204,18 @@ impl ValueInterner {
                 return ValueId(slot);
             }
             probe = (probe + 1) & mask;
+            examined += 1;
         }
     }
 
     /// Looks up an already-interned value without inserting.
     pub fn get(&self, attr: AttrId, value: &str) -> Option<ValueId> {
-        self.get_prehashed(attr, value, value_hash(attr, value))
-    }
-
-    /// Like [`ValueInterner::get`], but with the caller supplying
-    /// `value_hash(attr, value)`.
-    pub fn get_prehashed(&self, attr: AttrId, value: &str, hash: u64) -> Option<ValueId> {
         if self.slots.is_empty() {
             return None;
         }
+        let hash = value_hash(self.seed, attr, value);
         let mask = self.slots.len() - 1;
-        let mut probe = (hash as usize) & mask;
+        let mut probe = home_slot(hash, self.slots.len());
         loop {
             let slot = self.slots[probe];
             if slot == EMPTY_SLOT {
@@ -178,16 +231,15 @@ impl ValueInterner {
 
     /// Batch-interns one page's `(attr, value)` fields, appending the
     /// resulting ids to `out` in field order. Each field string is hashed
-    /// exactly once ([`value_hash`]), with the hash reused across the table
-    /// probe and any insertion — the entry point the Ingestor stage uses so
-    /// page ingestion never double-hashes or allocates for already-known
-    /// values.
+    /// exactly once, with the hash reused across the table probe and any
+    /// insertion — the entry point the Ingestor stage uses so page ingestion
+    /// never double-hashes or allocates for already-known values.
     pub fn intern_page<'a, I>(&mut self, fields: I, out: &mut Vec<ValueId>)
     where
         I: IntoIterator<Item = (AttrId, &'a str)>,
     {
         for (attr, value) in fields {
-            out.push(self.intern_prehashed(attr, value, value_hash(attr, value)));
+            out.push(self.intern(attr, value));
         }
     }
 
@@ -208,11 +260,6 @@ impl ValueInterner {
         self.attrs[id.index()]
     }
 
-    /// The precomputed hash a value was interned under.
-    pub fn hash_of(&self, id: ValueId) -> u64 {
-        self.hashes[id.index()]
-    }
-
     /// Number of distinct attribute values interned so far (|DAV|).
     pub fn len(&self) -> usize {
         self.spans.len()
@@ -221,6 +268,15 @@ impl ValueInterner {
     /// Whether nothing has been interned yet.
     pub fn is_empty(&self) -> bool {
         self.spans.is_empty()
+    }
+
+    /// The most slots any probe has examined to place an id in the current
+    /// table: 1 when every id sits at its home slot, 0 when empty. Tracked on
+    /// every insert and recomputed on every table rebuild. Looking up an
+    /// interned value retraces its placement, so it examines at most this
+    /// many slots.
+    pub fn max_probe_len(&self) -> usize {
+        self.max_probe as usize
     }
 
     /// Iterates all interned ids in insertion order.
@@ -254,33 +310,43 @@ impl ValueInterner {
     /// Rebuilds the probe table at exactly `new_len` slots (a power of two)
     /// from the stored hash column.
     fn rebuild_slots(&mut self, new_len: usize) {
-        self.slots.clear();
-        self.slots.resize(new_len, EMPTY_SLOT);
+        self.slots = vec![EMPTY_SLOT; new_len].into_boxed_slice();
         let mask = new_len - 1;
+        let mut max_probe = 0;
         for (idx, &hash) in self.hashes.iter().enumerate() {
-            let mut probe = (hash as usize) & mask;
+            let mut probe = home_slot(hash, new_len);
+            let mut examined = 1;
             while self.slots[probe] != EMPTY_SLOT {
                 probe = (probe + 1) & mask;
+                examined += 1;
             }
             self.slots[probe] = idx as u32;
+            max_probe = max_probe.max(examined);
         }
+        self.max_probe = max_probe;
     }
 }
 
-/// Magic header of the packed interner image.
-const SPILL_MAGIC: &[u8; 8] = b"DWCINTR1";
+/// Magic header of the packed interner image. Version 2 carries the hash
+/// seed; version 1 images hashed without one and cannot be reloaded.
+const SPILL_MAGIC: &[u8; 8] = b"DWCINTR2";
+
+/// Bytes before the arena: magic, seed, attribute count, value count, arena
+/// length.
+const SPILL_HEADER: usize = 8 + 8 + 4 + 8 + 8;
 
 impl ValueInterner {
-    /// Serializes the interner to a packed byte image: arena bytes plus the
-    /// span-length / attribute / **precomputed hash** columns, with an
-    /// FNV-1a checksum trailer. Because the hashes travel with the image,
-    /// [`ValueInterner::from_packed_bytes`] rebuilds the probe table without
-    /// ever rehashing a string — spilling and reloading a multi-million
-    /// value interner costs one sequential pass each way.
+    /// Serializes the interner to a packed byte image: the hash seed, arena
+    /// bytes and the span-length / attribute / **stored hash** columns, with
+    /// an FNV-1a checksum trailer. Because the seed and hashes travel with
+    /// the image, [`ValueInterner::from_packed_bytes`] rebuilds the probe
+    /// table without ever rehashing a string — spilling and reloading a
+    /// multi-million value interner costs one sequential pass each way.
     pub fn to_packed_bytes(&self) -> Vec<u8> {
         let n = self.spans.len();
-        let mut out = Vec::with_capacity(8 + 4 + 16 + self.arena.len() + n * 14 + 8);
+        let mut out = Vec::with_capacity(SPILL_HEADER + self.arena.len() + n * 14 + 8);
         out.extend_from_slice(SPILL_MAGIC);
+        out.extend_from_slice(&self.seed.to_le_bytes());
         out.extend_from_slice(&self.num_attrs.to_le_bytes());
         out.extend_from_slice(&(n as u64).to_le_bytes());
         out.extend_from_slice(&(self.arena.len() as u64).to_le_bytes());
@@ -300,11 +366,12 @@ impl ValueInterner {
     }
 
     /// Reloads a packed image produced by [`ValueInterner::to_packed_bytes`].
-    /// Ids, strings, attributes and hashes come back identical; the probe
-    /// table is re-placed from the stored hashes (no string is rehashed).
+    /// Ids, strings, attributes, hashes and the seed come back identical;
+    /// the probe table is re-placed from the stored hashes (no string is
+    /// rehashed).
     pub fn from_packed_bytes(bytes: &[u8]) -> Result<Self, crate::packed::PackedError> {
         use crate::packed::PackedError;
-        if bytes.len() < 8 + 4 + 16 + 8 {
+        if bytes.len() < SPILL_HEADER + 8 {
             return Err(PackedError::Truncated);
         }
         let (payload, trailer) = bytes.split_at(bytes.len() - 8);
@@ -315,10 +382,11 @@ impl ValueInterner {
         if &payload[..8] != SPILL_MAGIC {
             return Err(PackedError::Magic);
         }
-        let num_attrs = u32::from_le_bytes(payload[8..12].try_into().expect("4 bytes"));
-        let count = u64::from_le_bytes(payload[12..20].try_into().expect("8 bytes")) as usize;
-        let arena_len = u64::from_le_bytes(payload[20..28].try_into().expect("8 bytes")) as usize;
-        let body = &payload[28..];
+        let seed = u64::from_le_bytes(payload[8..16].try_into().expect("8 bytes"));
+        let num_attrs = u32::from_le_bytes(payload[16..20].try_into().expect("4 bytes"));
+        let count = u64::from_le_bytes(payload[20..28].try_into().expect("8 bytes")) as usize;
+        let arena_len = u64::from_le_bytes(payload[28..36].try_into().expect("8 bytes")) as usize;
+        let body = &payload[SPILL_HEADER..];
         let need = arena_len
             .checked_add(count.checked_mul(14).ok_or(PackedError::Layout)?)
             .ok_or(PackedError::Layout)?;
@@ -352,7 +420,8 @@ impl ValueInterner {
             .chunks_exact(8)
             .map(|c| u64::from_le_bytes(c.try_into().expect("8 bytes")))
             .collect();
-        let mut it = ValueInterner { arena, spans, attrs, hashes, slots: Vec::new(), num_attrs };
+        let mut it =
+            ValueInterner { arena, spans, attrs, hashes, num_attrs, ..Self::with_seed(seed) };
         if count > 0 {
             let mut slots_len = 16usize;
             while (count + 1) * 8 > slots_len * 7 {
@@ -421,17 +490,6 @@ mod tests {
     }
 
     #[test]
-    fn prehashed_paths_agree_with_convenience_wrappers() {
-        let mut it = ValueInterner::new();
-        let h = value_hash(AttrId(2), "Blade Runner");
-        let id = it.intern_prehashed(AttrId(2), "Blade Runner", h);
-        assert_eq!(it.get_prehashed(AttrId(2), "Blade Runner", h), Some(id));
-        assert_eq!(it.get(AttrId(2), "Blade Runner"), Some(id));
-        assert_eq!(it.intern(AttrId(2), "Blade Runner"), id);
-        assert_eq!(it.hash_of(id), h);
-    }
-
-    #[test]
     fn intern_page_batches_in_field_order() {
         let mut it = ValueInterner::new();
         let mut out = Vec::new();
@@ -473,10 +531,12 @@ mod tests {
         let bytes = it.to_packed_bytes();
         let back = ValueInterner::from_packed_bytes(&bytes).unwrap();
         assert_eq!(back.len(), it.len());
+        assert_eq!(back.seed, it.seed, "the seed travels with the image");
+        assert_eq!(back.hashes, it.hashes, "hash column is preserved verbatim");
+        assert_eq!(back.max_probe_len(), it.max_probe_len());
         for (i, &id) in ids.iter().enumerate() {
             assert_eq!(back.value_str(id), it.value_str(id));
             assert_eq!(back.attr_of(id), it.attr_of(id));
-            assert_eq!(back.hash_of(id), it.hash_of(id), "hash column is preserved verbatim");
             assert_eq!(
                 back.get(AttrId((i % 7) as u16), &format!("value-{i}-αβ")),
                 Some(id),
@@ -503,6 +563,13 @@ mod tests {
         let mut flipped = bytes.clone();
         flipped[10] ^= 0x40;
         assert!(matches!(ValueInterner::from_packed_bytes(&flipped), Err(PackedError::Checksum)));
+        // An image under another magic (e.g. the unseeded version 1) is
+        // refused rather than probed with the wrong hash.
+        let mut old = bytes[..bytes.len() - 8].to_vec();
+        old[..8].copy_from_slice(b"DWCINTR1");
+        let sum = crate::packed::fnv1a64(&old);
+        old.extend_from_slice(&sum.to_le_bytes());
+        assert!(matches!(ValueInterner::from_packed_bytes(&old), Err(PackedError::Magic)));
         let empty = ValueInterner::new().to_packed_bytes();
         let back = ValueInterner::from_packed_bytes(&empty).unwrap();
         assert!(back.is_empty());
@@ -512,7 +579,91 @@ mod tests {
     fn hash_distinguishes_length_from_zero_padding() {
         // The trailing partial word is zero-padded, so the length must be
         // mixed in to keep "a" and "a\0" distinct.
-        assert_ne!(value_hash(AttrId(0), "a"), value_hash(AttrId(0), "a\0"));
-        assert_ne!(value_hash(AttrId(0), ""), value_hash(AttrId(0), "\0"));
+        let seed = random_seed();
+        assert_ne!(value_hash(seed, AttrId(0), "a"), value_hash(seed, AttrId(0), "a\0"));
+        assert_ne!(value_hash(seed, AttrId(0), ""), value_hash(seed, AttrId(0), "\0"));
+    }
+
+    #[test]
+    fn each_interner_draws_its_own_seed() {
+        let (a, b) = (ValueInterner::new(), ValueInterner::new());
+        assert_ne!(a.seed, b.seed);
+        assert_ne!(
+            value_hash(a.seed, AttrId(0), "Attr_1"),
+            value_hash(b.seed, AttrId(0), "Attr_1")
+        );
+    }
+
+    #[test]
+    fn max_probe_len_tracks_inserts_and_rebuilds() {
+        let mut it = ValueInterner::new();
+        assert_eq!(it.max_probe_len(), 0);
+        it.intern(AttrId(0), "x");
+        assert_eq!(it.max_probe_len(), 1, "the first id sits at its home slot");
+        for i in 0..5_000 {
+            it.intern(AttrId(1), &format!("Actor_{i}"));
+        }
+        let tracked = it.max_probe_len();
+        it.rebuild_slots(it.slots.len());
+        assert_eq!(it.max_probe_len(), tracked, "a rebuild in place re-places ids identically");
+    }
+
+    /// Keys that share their first two bytes share the low bits of a
+    /// multiply-based hash, so a probe started from the low bits would put
+    /// them all in one run.
+    #[test]
+    fn shared_prefix_keys_do_not_cluster() {
+        let mut it = ValueInterner::new();
+        for i in 0..1u32 << 16 {
+            it.intern(AttrId(0), &format!("Ab{i:06x}"));
+        }
+        assert_eq!(it.len(), 1 << 16);
+        // At this table's half load the longest probe is typically ~30 slots
+        // (under 50 in 300 seeded runs); clustered keys would need ~2^15.
+        let probe = it.max_probe_len();
+        assert!(probe <= 128, "2^16 shared-prefix keys needed a {probe}-slot probe");
+    }
+
+    /// Two-word keys built to collide in the full 64-bit hash under one
+    /// fixed seed: the second word is solved so the state entering the last
+    /// fold is the same for every key.
+    #[test]
+    fn keys_colliding_under_one_seed_do_not_cluster_under_another() {
+        const FIXED: u64 = 0x0123_4567_89ab_cdef;
+        const TARGET: u64 = 0x2a2a_2a2a_2a2a_2a2a;
+        const KEYS: usize = 2_048;
+        let attr = AttrId(0);
+        let mut keys = Vec::with_capacity(KEYS);
+        let opening = mix(FIXED, (16 << 16) | u64::from(attr.0));
+        for i in 0u64.. {
+            let first = format!("{i:08}");
+            let word = u64::from_le_bytes(first.as_bytes().try_into().unwrap());
+            let second = mix(opening, word) ^ TARGET;
+            // The solved word must be ASCII so the key is a valid string.
+            if second & 0x8080_8080_8080_8080 == 0 {
+                let tail = String::from_utf8(second.to_le_bytes().to_vec()).unwrap();
+                keys.push(first + &tail);
+                if keys.len() == KEYS {
+                    break;
+                }
+            }
+        }
+        let collided = value_hash(FIXED, attr, &keys[0]);
+        assert!(keys.iter().all(|k| value_hash(FIXED, attr, k) == collided));
+
+        let mut fixed = ValueInterner::with_seed(FIXED);
+        for k in &keys[..256] {
+            fixed.intern(attr, k);
+        }
+        assert_eq!(fixed.max_probe_len(), 256, "under the fixed seed they form one run");
+
+        let mut it = ValueInterner::new();
+        for k in &keys {
+            it.intern(attr, k);
+        }
+        assert_eq!(it.len(), KEYS);
+        let probe = it.max_probe_len();
+        assert!(probe <= 64, "{KEYS} keys colliding under another seed needed {probe} slots");
+        assert!(keys.iter().enumerate().all(|(i, k)| it.get(attr, k) == Some(ValueId(i as u32))));
     }
 }

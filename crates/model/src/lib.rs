@@ -38,7 +38,7 @@ pub mod schema;
 pub mod table;
 
 pub use graph::AvGraph;
-pub use interner::{value_hash, AttrId, ValueId, ValueInterner};
+pub use interner::{AttrId, ValueId, ValueInterner};
 pub use packed::{PackedError, PackedLists};
 pub use schema::{AttrSpec, Schema};
 pub use table::{Record, RecordId, UniversalTable};

@@ -500,6 +500,9 @@ fn run_and_report<S: deep_web_crawler::core::DataSource>(
     println!("queries   : {}", report.queries);
     println!("rounds    : {}", report.rounds);
     println!("aborted   : {}", report.aborted_queries);
+    if report.journal_failures > 0 {
+        eprintln!("warning: the state journal failed; the crawl continued unjournaled");
+    }
     Ok(())
 }
 

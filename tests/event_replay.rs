@@ -6,9 +6,11 @@
 //! `CrawlReport` the crawl returned — under clean runs, under every
 //! non-lethal kind of the `DWC_FAULT_KIND` matrix, across the JSONL
 //! serialization round trip (`dwc crawl --events` fidelity), through the
-//! checkpoint/resume path (late-attached sinks get a snapshot event), and
-//! property-tested across seeded fault plans.
+//! checkpoint/resume path (late-attached sinks get a snapshot event), with
+//! a state journal that fails, and property-tested across seeded fault
+//! plans.
 
+use deep_web_crawler::core::config::CrawlConfigBuilder;
 use deep_web_crawler::core::metrics::replay_report;
 use deep_web_crawler::prelude::*;
 use proptest::prelude::*;
@@ -25,8 +27,17 @@ fn imdb_server(seed: u64) -> Arc<WebDbServer> {
 /// Runs one crawl over a fault-plan-wrapped source with a sink attached
 /// before the first event, returning the report and the recorded stream.
 fn run_with_sink(plan: FaultPlan, data_seed: u64) -> (CrawlReport, Vec<CrawlEvent>) {
+    run_configured(plan, data_seed, CrawlConfig::builder())
+}
+
+/// [`run_with_sink`] with extra settings on the crawl configuration.
+fn run_configured(
+    plan: FaultPlan,
+    data_seed: u64,
+    config: CrawlConfigBuilder,
+) -> (CrawlReport, Vec<CrawlEvent>) {
     let source = FaultPlanSource::new(imdb_server(data_seed), plan);
-    let config = CrawlConfig::builder().max_requeues(20).max_retries(4).build().unwrap();
+    let config = config.max_requeues(20).max_retries(4).build().unwrap();
     let mut crawler = Crawler::new(source, PolicyKind::GreedyLink.build(), config);
     assert!(crawler.add_seed("Language", "Language_0"));
     let sink = MemorySink::new();
@@ -149,6 +160,31 @@ fn page_cache_hits_survive_replay() {
     let hit_events = events.iter().filter(|e| matches!(e, CrawlEvent::PageCacheHit)).count() as u64;
     assert_eq!(report.page_cache_hits, hit_events, "report is a fold over the stream");
     assert_eq!(replay_report(&events), Some(report));
+}
+
+/// Journal-failure parity: a journal that cannot be created, or whose
+/// writes all fail, surfaces as one `JournalFailed` event that folds into
+/// `journal_failures`. The crawl carries on unjournaled to the report an
+/// unjournaled crawl returns, and the stream still replays exactly.
+#[test]
+fn journal_failures_are_reported_and_replay() {
+    // No file can be created under a device node.
+    let mut paths = vec!["/dev/null/journal"];
+    if cfg!(target_os = "linux") {
+        // Linux's `/dev/full` opens fine but refuses every write.
+        paths.push("/dev/full");
+    }
+    let (clean, _) = run_with_sink(FaultPlan::new(), 17);
+    assert_eq!(clean.journal_failures, 0);
+    for path in paths {
+        let config = CrawlConfig::builder().journal_path(path);
+        let (report, events) = run_configured(FaultPlan::new(), 17, config);
+        let failed = events.iter().filter(|e| matches!(e, CrawlEvent::JournalFailed)).count();
+        assert_eq!(failed, 1, "{path}: the first failure stops journaling");
+        assert_eq!(report.journal_failures, 1, "{path}: report is a fold over the stream");
+        assert_eq!(replay_report(&events), Some(report.clone()), "{path}: replay diverged");
+        assert_eq!(CrawlReport { journal_failures: 0, ..report }, clean, "{path}: crawl diverged");
+    }
 }
 
 proptest! {
