@@ -119,9 +119,8 @@ fn drive(hedge: Option<Duration>, requests: usize) -> Pass {
     // Horizon covers every frame the pass can send: two per attempt, plus
     // headroom for hedges and retransmissions.
     let horizon = (CLIENTS * requests * 4) as u64;
-    let plan =
-        ChaosPlan::seeded(CHAOS_SEED, horizon, STALL_RATE, &[ChaosKind::Stall]).stall_for(STALL);
-    let chaos = Arc::new(ChaosState::new(plan));
+    let plan = ChaosPlan::seeded(CHAOS_SEED, horizon, STALL_RATE, &[ChaosKind::Stall]);
+    let chaos = Arc::new(ChaosState::new(plan).stall_for(STALL));
     let mut pool =
         service.connect_pool(CLIENTS).expect("pool size is nonzero").with_chaos(Arc::clone(&chaos));
     if let Some(threshold) = hedge {
@@ -166,7 +165,7 @@ fn drive(hedge: Option<Duration>, requests: usize) -> Pass {
         std::thread::sleep(Duration::from_micros(200));
     }
     let rounds = pool.rounds_used();
-    let stalls_injected = chaos.tally().stalled;
+    let stalls_injected = chaos.count(ChaosKind::Stall);
     // `shutdown` blocks until every connection is gone — release ours.
     drop(pool);
     let report = service.shutdown();

@@ -116,8 +116,8 @@ fn fresh_state(server: &WebDbServer) -> CrawlState {
     CrawlState::new(names, queriable, iface.page_size)
 }
 
-/// The seed path: owned wire pages (`query_page` renders and re-parses with
-/// allocation per field) ingested record by record.
+/// The seed path: owned wire pages (each response copied out of the borrowed
+/// view with allocation per field) ingested record by record.
 fn run_seed_path(server: &WebDbServer, queries: &[Query]) -> (u64, usize) {
     let mut state = fresh_state(server);
     let mut ingestor = Ingestor::new(false);

@@ -85,9 +85,9 @@ impl RetryPolicy {
         match self.jitter_seed {
             None => exact,
             Some(seed) if exact > 1 => {
-                let draw = crate::fault::splitmix64(
+                let draw = crate::schedule::splitmix64(
                     seed ^ salt.rotate_left(17)
-                        ^ u64::from(attempt).wrapping_mul(crate::fault::SPLITMIX_STEP),
+                        ^ u64::from(attempt).wrapping_mul(crate::schedule::SPLITMIX_STEP),
                 );
                 1 + draw % exact
             }

@@ -475,7 +475,6 @@ mod tests {
     use super::*;
     use crate::config::RetryPolicy;
     use crate::policy::PolicyKind;
-    use crate::source::FaultySource;
     use dwc_model::fixtures::figure1_table;
     use dwc_server::{FaultPolicy, InterfaceSpec, WebDbServer};
 
@@ -594,28 +593,6 @@ mod tests {
         assert!(report.transient_failures > 0);
         assert!(report.rounds > report.queries, "failed rounds are counted");
         assert!(report.backoff_rounds > 0, "retries wait before re-asking");
-    }
-
-    #[test]
-    fn faulty_source_decorator_behaves_like_builtin_faults() {
-        let run_with = |decorated: bool| {
-            let t = figure1_table();
-            let spec = InterfaceSpec::permissive(t.schema(), 10);
-            let config = CrawlConfig::builder().max_retries(3).build().unwrap();
-            let report = if decorated {
-                let source = FaultySource::new(WebDbServer::new(t, spec), FaultPolicy::every(2));
-                let mut crawler = Crawler::new(source, PolicyKind::Bfs.build(), config);
-                crawler.add_seed("A", "a2");
-                crawler.run()
-            } else {
-                let server = WebDbServer::new(t, spec).with_faults(FaultPolicy::every(2));
-                let mut crawler = Crawler::new(&server, PolicyKind::Bfs.build(), config);
-                crawler.add_seed("A", "a2");
-                crawler.run()
-            };
-            (report.records, report.rounds, report.transient_failures)
-        };
-        assert_eq!(run_with(true), run_with(false));
     }
 
     #[test]

@@ -199,6 +199,7 @@ pub fn parse_html_page(html: &str) -> Result<ExtractedPage, ExtractError> {
         records.push(ExtractedRecord { key, fields });
         rest = &rest[body_end + "</div>".len()..];
     }
+    require_close(rest, HTML_CLOSE)?;
     Ok(ExtractedPage { page_index, total_matches, has_more, records })
 }
 
@@ -266,7 +267,24 @@ pub fn parse_html_page_ref(html: &str) -> Result<ExtractedPageRef<'_>, ExtractEr
         records.push(ExtractedRecordRef { key, fields });
         rest = &rest[body_end + "</div>".len()..];
     }
+    require_close(rest, HTML_CLOSE)?;
     Ok(ExtractedPageRef { page_index, total_matches, has_more, records })
+}
+
+/// The closing tag of an XML wire page.
+const XML_CLOSE: &str = "</results>";
+/// The closing tags of an HTML result page.
+const HTML_CLOSE: &str = "</body></html>";
+
+/// Rejects a page cut before its closing tag: `tail` is the document after
+/// its last record, so a missing `close` means records may have been lost
+/// (and, on HTML pages, the `#next` marker with them).
+fn require_close(tail: &str, close: &'static str) -> Result<(), ExtractError> {
+    if tail.contains(close) {
+        Ok(())
+    } else {
+        Err(ExtractError::MalformedElement(close))
+    }
 }
 
 /// Reads the value of `name="..."` inside an element's attribute area.
@@ -323,6 +341,7 @@ pub fn parse_page(xml: &str) -> Result<ExtractedPage, ExtractError> {
         records.push(ExtractedRecord { key, fields });
         body = &rec_body_all[rec_end + "</record>".len()..];
     }
+    require_close(body, XML_CLOSE)?;
     Ok(ExtractedPage { page_index, total_matches, has_more, records })
 }
 
@@ -364,13 +383,17 @@ pub fn parse_page_ref(xml: &str) -> Result<ExtractedPageRef<'_>, ExtractError> {
     };
     let mut cur = &rest[header_end + 1..];
     let mut records = Vec::new();
+    // Whether a `</results>` follows the last record seen so far.
+    let mut closed = false;
     'scan: while let Some(lt) = cur.find('<') {
         let tag = &cur[lt..];
         let Some(rec_hdr) = tag.strip_prefix("<record") else {
             // Not a record ("</results>" or stray text): skip past the `<`.
+            closed |= tag.starts_with(XML_CLOSE);
             cur = &tag[1..];
             continue;
         };
+        closed = false;
         let (key_str, mut rec_body) = leading_quoted(rec_hdr, " key=\"")
             .and_then(|(k, after)| Some((k, after.strip_prefix('>')?)))
             .ok_or(ExtractError::BadAttribute("key"))?;
@@ -400,6 +423,9 @@ pub fn parse_page_ref(xml: &str) -> Result<ExtractedPageRef<'_>, ExtractError> {
             }
         }
     }
+    if !closed {
+        return Err(ExtractError::MalformedElement(XML_CLOSE));
+    }
     Ok(ExtractedPageRef { page_index, total_matches, has_more, records })
 }
 
@@ -407,9 +433,7 @@ pub fn parse_page_ref(xml: &str) -> Result<ExtractedPageRef<'_>, ExtractError> {
 /// inverse of [`parse_page`]. Round-trip exact for any page (names and values
 /// are XML-escaped).
 ///
-/// Used by the fault-injection harness ([`crate::fault::FaultPlanSource`]) to
-/// materialize a page as wire bytes, truncate them, and demonstrate that the
-/// extractor rejects the damage; also handy for recording crawls.
+/// Handy for recording crawls and for feeding the parsers test pages.
 pub fn page_to_wire(page: &ExtractedPage) -> String {
     use dwc_server::wire::escape_xml;
     use std::fmt::Write as _;

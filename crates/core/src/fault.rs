@@ -1,46 +1,27 @@
-//! Seeded, deterministic multi-kind fault injection — the harness the
-//! fault-tolerance layer is tested against.
+//! Seeded, deterministic multi-kind fault injection at the request level —
+//! the harness the fault-tolerance layer is tested against.
 //!
-//! [`crate::FaultySource`] injects one failure mode (a transient error every
-//! N requests). A production crawler faces a richer bestiary: bursts of
-//! throttling, requests that stall and waste wall-clock rounds, result pages
-//! that arrive truncated, and faults severe enough to kill the worker
-//! process outright. [`FaultPlan`] schedules any mix of these at exact
-//! request indices — either hand-placed or generated from a seed — so every
-//! recovery path (retry, requeue, checkpoint resume, supervisor restart,
-//! circuit breaker) can be exercised deterministically and asserted on.
+//! A production crawler faces bursts of throttling, requests that stall and
+//! waste wall-clock rounds, result pages that arrive truncated, and faults
+//! severe enough to kill the worker process outright. A [`FaultPlan`] places
+//! any mix of these at exact request numbers — by hand or from a seed
+//! ([`Schedule::seeded`]) — so every recovery path (retry, requeue,
+//! checkpoint resume, supervisor restart, circuit breaker) can be exercised
+//! deterministically and asserted on.
 //!
 //! A plan is *pure schedule*; [`FaultPlanSource`] is the [`DataSource`]
-//! decorator that executes it. The decorator's mutable side (the request
-//! counter and per-kind tallies) lives behind an `Arc`, so clones of one
+//! decorator that executes it. Its armed state (the request cursor and the
+//! fired-fault counters) lives behind an `Arc`, so clones of one
 //! `FaultPlanSource` share a single schedule position — exactly what a fleet
 //! supervisor needs to hold a handle to the same faulty source its worker
 //! crawls (and to keep the schedule advancing across worker restarts instead
 //! of replaying the same fault forever).
 
-use crate::extract::{page_to_wire, parse_page, ExtractedPage};
-use crate::source::{CrawlError, DataSource};
+use crate::extract::ExtractedPageRef;
+use crate::schedule::{Armed, Schedule, Tally};
+use crate::source::{CrawlError, DataSource, SourceRequest, SourceResponse};
 use dwc_server::InterfaceSpec;
-use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-
-/// `splitmix64` — the one tiny generator behind every seeded schedule in the
-/// engine: fault plans, chaos plans ([`crate::chaos::ChaosPlan`]), service
-/// latency sampling, and retry jitter. Stateless form: mixes its input with
-/// the golden-ratio increment, so independent streams decorrelate by salting
-/// the input.
-pub(crate) fn splitmix64(x: u64) -> u64 {
-    let mut z = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
-/// The golden-ratio increment that steps a splitmix64 stream; request/frame
-/// numbers are multiplied by it before mixing so consecutive indices land in
-/// uncorrelated parts of the sequence.
-pub(crate) const SPLITMIX_STEP: u64 = 0x9E37_79B9_7F4A_7C15;
 
 /// One kind of injected fault.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -54,9 +35,10 @@ pub enum FaultKind {
         /// Extra elapsed rounds wasted waiting for the response.
         rounds: u64,
     },
-    /// The result page is truncated in flight; the Result Extractor rejects
-    /// it (surfaced as [`CrawlError::CorruptPage`]). The request *does* reach
-    /// the source and is billed there.
+    /// The result page is truncated in flight, and the Result Extractor
+    /// rejects a page cut before its closing tag (surfaced as
+    /// [`CrawlError::CorruptPage`]). The request *does* reach the source and
+    /// is billed there.
     Corrupt,
     /// A worker-killing panic — models a crash of the crawling process
     /// itself. Only a supervisor ([`crate::fleet::run_fleet_supervised`])
@@ -66,30 +48,13 @@ pub enum FaultKind {
 
 /// A deterministic schedule mapping 1-based request numbers to faults.
 ///
-/// Build one by placing events explicitly ([`transient_at`](Self::transient_at),
-/// [`burst`](Self::burst), [`stall_at`](Self::stall_at),
-/// [`corrupt_at`](Self::corrupt_at), [`panic_at`](Self::panic_at)) or
-/// generate a reproducible mix from a seed ([`seeded`](Self::seeded)).
-/// Requests not named by the plan succeed normally.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct FaultPlan {
-    events: BTreeMap<u64, FaultKind>,
-}
+/// Build one by placing events explicitly ([`at`](Schedule::at),
+/// [`burst`](Self::burst), [`panic_at`](Self::panic_at) …) or generate a
+/// reproducible mix from a seed ([`seeded`](Schedule::seeded)). Requests not
+/// named by the plan succeed normally.
+pub type FaultPlan = Schedule<FaultKind>;
 
 impl FaultPlan {
-    /// An empty plan: no faults.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Schedules `kind` at request number `request_no` (1-based), replacing
-    /// any event already there.
-    pub fn at(mut self, request_no: u64, kind: FaultKind) -> Self {
-        assert!(request_no > 0, "request numbers are 1-based");
-        self.events.insert(request_no, kind);
-        self
-    }
-
     /// Schedules a plain transient failure at `request_no`.
     pub fn transient_at(self, request_no: u64) -> Self {
         self.at(request_no, FaultKind::Transient)
@@ -97,12 +62,8 @@ impl FaultPlan {
 
     /// Schedules a burst of `len` consecutive transient failures starting at
     /// request `start` — the pattern that trips a circuit breaker.
-    pub fn burst(mut self, start: u64, len: u64) -> Self {
-        assert!(start > 0, "request numbers are 1-based");
-        for i in 0..len {
-            self.events.insert(start + i, FaultKind::Transient);
-        }
-        self
+    pub fn burst(self, start: u64, len: u64) -> Self {
+        (start..start + len).fold(self, |plan, n| plan.transient_at(n))
     }
 
     /// Schedules a stall of `rounds` extra elapsed rounds at `request_no`.
@@ -119,77 +80,6 @@ impl FaultPlan {
     pub fn panic_at(self, request_no: u64) -> Self {
         self.at(request_no, FaultKind::Panic)
     }
-
-    /// Generates a reproducible plan from `seed`: roughly `rate` of the first
-    /// `horizon` requests fault, cycling through `kinds` in a seed-shuffled
-    /// order. The same `(seed, horizon, rate, kinds)` always yields the same
-    /// plan — run-to-run reproducibility is the whole point.
-    pub fn seeded(seed: u64, horizon: u64, rate: f64, kinds: &[FaultKind]) -> Self {
-        assert!((0.0..=1.0).contains(&rate), "fault rate must lie in [0, 1]");
-        let mut plan = FaultPlan::new();
-        if kinds.is_empty() || rate == 0.0 {
-            return plan;
-        }
-        let threshold = (rate * u64::MAX as f64) as u64;
-        let mut pick = 0usize;
-        for request_no in 1..=horizon {
-            if splitmix64(seed.wrapping_add(request_no.wrapping_mul(SPLITMIX_STEP))) <= threshold {
-                let kind = kinds[pick % kinds.len()];
-                pick += 1;
-                plan.events.insert(request_no, kind);
-            }
-        }
-        plan
-    }
-
-    /// The fault scheduled at `request_no`, if any.
-    pub fn event_at(&self, request_no: u64) -> Option<FaultKind> {
-        self.events.get(&request_no).copied()
-    }
-
-    /// Number of scheduled events.
-    pub fn len(&self) -> usize {
-        self.events.len()
-    }
-
-    /// Whether the plan schedules no faults at all.
-    pub fn is_empty(&self) -> bool {
-        self.events.is_empty()
-    }
-
-    /// Iterates `(request_no, kind)` in request order.
-    pub fn iter(&self) -> impl Iterator<Item = (u64, FaultKind)> + '_ {
-        self.events.iter().map(|(&n, &k)| (n, k))
-    }
-}
-
-/// Per-kind injection tallies of a [`FaultPlanSource`].
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct FaultTally {
-    /// Transient failures injected (including burst members).
-    pub transient: u64,
-    /// Stalls injected.
-    pub stalls: u64,
-    /// Corrupt pages injected.
-    pub corrupt: u64,
-    /// Panics fired.
-    pub panics: u64,
-}
-
-impl FaultTally {
-    /// Total faults injected across all kinds.
-    pub fn total(&self) -> u64 {
-        self.transient + self.stalls + self.corrupt + self.panics
-    }
-}
-
-#[derive(Debug, Default)]
-struct PlanState {
-    requests: AtomicU64,
-    transient: AtomicU64,
-    stalls: AtomicU64,
-    corrupt: AtomicU64,
-    panics: AtomicU64,
 }
 
 /// A [`DataSource`] decorator executing a [`FaultPlan`].
@@ -203,24 +93,19 @@ struct PlanState {
 #[derive(Debug)]
 pub struct FaultPlanSource<S> {
     inner: S,
-    plan: Arc<FaultPlan>,
-    state: Arc<PlanState>,
+    armed: Arc<Armed<FaultKind>>,
 }
 
 impl<S: Clone> Clone for FaultPlanSource<S> {
     fn clone(&self) -> Self {
-        FaultPlanSource {
-            inner: self.inner.clone(),
-            plan: Arc::clone(&self.plan),
-            state: Arc::clone(&self.state),
-        }
+        FaultPlanSource { inner: self.inner.clone(), armed: Arc::clone(&self.armed) }
     }
 }
 
 impl<S: DataSource> FaultPlanSource<S> {
     /// Wraps `inner`, failing requests per `plan`.
     pub fn new(inner: S, plan: FaultPlan) -> Self {
-        FaultPlanSource { inner, plan: Arc::new(plan), state: Arc::new(PlanState::default()) }
+        FaultPlanSource { inner, armed: Arc::new(Armed::new(plan)) }
     }
 
     /// The wrapped source.
@@ -230,74 +115,40 @@ impl<S: DataSource> FaultPlanSource<S> {
 
     /// The schedule being executed.
     pub fn plan(&self) -> &FaultPlan {
-        &self.plan
+        self.armed.schedule()
     }
 
     /// Requests seen so far (served or faulted), across all clones.
     pub fn requests_seen(&self) -> u64 {
-        self.state.requests.load(Ordering::Relaxed)
+        self.armed.seen()
     }
 
-    /// Per-kind injection tallies so far, across all clones.
-    pub fn tally(&self) -> FaultTally {
-        FaultTally {
-            transient: self.state.transient.load(Ordering::Relaxed),
-            stalls: self.state.stalls.load(Ordering::Relaxed),
-            corrupt: self.state.corrupt.load(Ordering::Relaxed),
-            panics: self.state.panics.load(Ordering::Relaxed),
-        }
-    }
-
-    /// Faults injected that consumed the request before it reached the inner
-    /// source (transient + stall + panic) — the wrapper-billed rounds.
-    fn absorbed(&self) -> u64 {
-        self.state.transient.load(Ordering::Relaxed)
-            + self.state.stalls.load(Ordering::Relaxed)
-            + self.state.panics.load(Ordering::Relaxed)
+    /// Faults fired so far, by kind, across all clones.
+    pub fn tally(&self) -> Tally<FaultKind> {
+        self.armed.tally()
     }
 }
 
 impl<S: DataSource> DataSource for FaultPlanSource<S> {
     fn respond(
         &self,
-        request: &crate::source::SourceRequest<'_>,
-        visit: &mut dyn FnMut(&crate::extract::ExtractedPageRef<'_>),
-    ) -> Result<crate::source::SourceResponse, CrawlError> {
-        let request_no = self.state.requests.fetch_add(1, Ordering::Relaxed) + 1;
-        match self.plan.event_at(request_no) {
-            None => self.inner.respond(request, visit),
-            Some(FaultKind::Transient) => {
-                self.state.transient.fetch_add(1, Ordering::Relaxed);
-                Err(CrawlError::Transient)
-            }
-            Some(FaultKind::Stall { rounds }) => {
-                self.state.stalls.fetch_add(1, Ordering::Relaxed);
+        request: &SourceRequest<'_>,
+        visit: &mut dyn FnMut(&ExtractedPageRef<'_>),
+    ) -> Result<SourceResponse, CrawlError> {
+        match self.armed.next() {
+            (_, None) => self.inner.respond(request, visit),
+            (_, Some(FaultKind::Transient)) => Err(CrawlError::Transient),
+            (_, Some(FaultKind::Stall { rounds })) => {
                 Err(CrawlError::Stalled { wasted_rounds: rounds })
             }
-            Some(FaultKind::Corrupt) => {
-                // The inner request executes (and is billed there), but the
-                // caller's visitor never runs: the page is materialized only
-                // to simulate the truncation below.
-                let mut owned = None;
-                self.inner.respond(request, &mut |view| owned = Some(view.to_owned_page()))?;
-                let page: ExtractedPage = owned.expect("respond visits on success");
-                self.state.corrupt.fetch_add(1, Ordering::Relaxed);
-                // Materialize the page as wire bytes and truncate them, as a
-                // flaky connection would. The extractor must reject the
-                // damage; either way the crawler sees a corrupt page. (A cut
-                // landing after a complete record can still parse — which is
-                // precisely why the error, not the parse, is authoritative.)
-                let wire = page_to_wire(&page);
-                let mut cut = wire.len() * 2 / 3;
-                while cut > 0 && !wire.is_char_boundary(cut) {
-                    cut -= 1;
-                }
-                let _ = parse_page(&wire[..cut]);
+            // The inner request executes (and is billed there), but the page
+            // arrives cut short and the caller's visitor never runs.
+            (_, Some(FaultKind::Corrupt)) => {
+                self.inner.respond(request, &mut |_| {})?;
                 Err(CrawlError::CorruptPage)
             }
-            Some(FaultKind::Panic) => {
-                self.state.panics.fetch_add(1, Ordering::Relaxed);
-                panic!("injected fault: worker-killing panic at request {request_no}");
+            (request_no, Some(FaultKind::Panic)) => {
+                panic!("injected fault: worker-killing panic at request {request_no}")
             }
         }
     }
@@ -306,14 +157,18 @@ impl<S: DataSource> DataSource for FaultPlanSource<S> {
         self.inner.interface()
     }
 
+    /// Inner rounds plus every fired fault that consumed its request before
+    /// it reached the inner source — all but the corrupt pages.
     fn rounds_used(&self) -> u64 {
-        self.inner.rounds_used() + self.absorbed()
+        let fired = self.armed.tally();
+        self.inner.rounds_used() + fired.total() - fired.count(FaultKind::Corrupt)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::extract::ExtractedPage;
     use crate::source::ProberMode;
     use dwc_model::fixtures::figure1_table;
     use dwc_server::{Query, WebDbServer};
@@ -328,9 +183,7 @@ mod tests {
         Query::ByString { attr: "A".into(), value: "a2".into() }
     }
 
-    /// Fetches one page as an owned value through the `respond` envelope —
-    /// the test-side convenience the deprecated `query_page` shim used to
-    /// provide.
+    /// Fetches one page as an owned value through the `respond` envelope.
     fn query_page<S: DataSource>(
         s: &S,
         query: &Query,
@@ -338,7 +191,7 @@ mod tests {
         prober: ProberMode,
     ) -> Result<ExtractedPage, CrawlError> {
         let mut owned = None;
-        s.respond(&crate::source::SourceRequest::new(query, page, prober), &mut |view| {
+        s.respond(&SourceRequest::new(query, page, prober), &mut |view| {
             owned = Some(view.to_owned_page())
         })?;
         Ok(owned.expect("respond visits exactly once on success"))
@@ -347,27 +200,13 @@ mod tests {
     #[test]
     fn plan_builders_compose() {
         let plan = FaultPlan::new().burst(3, 2).stall_at(7, 5).corrupt_at(9).panic_at(11);
-        assert_eq!(plan.event_at(3), Some(FaultKind::Transient));
-        assert_eq!(plan.event_at(4), Some(FaultKind::Transient));
-        assert_eq!(plan.event_at(5), None);
-        assert_eq!(plan.event_at(7), Some(FaultKind::Stall { rounds: 5 }));
-        assert_eq!(plan.event_at(9), Some(FaultKind::Corrupt));
-        assert_eq!(plan.event_at(11), Some(FaultKind::Panic));
+        assert_eq!(plan.get(3), Some(FaultKind::Transient));
+        assert_eq!(plan.get(4), Some(FaultKind::Transient));
+        assert_eq!(plan.get(5), None);
+        assert_eq!(plan.get(7), Some(FaultKind::Stall { rounds: 5 }));
+        assert_eq!(plan.get(9), Some(FaultKind::Corrupt));
+        assert_eq!(plan.get(11), Some(FaultKind::Panic));
         assert_eq!(plan.len(), 5);
-    }
-
-    #[test]
-    fn seeded_plans_are_reproducible_and_seed_sensitive() {
-        let kinds = [FaultKind::Transient, FaultKind::Corrupt];
-        let a = FaultPlan::seeded(42, 1000, 0.2, &kinds);
-        let b = FaultPlan::seeded(42, 1000, 0.2, &kinds);
-        let c = FaultPlan::seeded(43, 1000, 0.2, &kinds);
-        assert_eq!(a, b, "same seed, same plan");
-        assert_ne!(a, c, "different seed, different plan");
-        let n = a.len() as f64;
-        assert!((100.0..400.0).contains(&n), "rate 0.2 over 1000 ≈ 200 events, got {n}");
-        assert!(FaultPlan::seeded(1, 100, 0.0, &kinds).is_empty());
-        assert!(FaultPlan::seeded(1, 100, 0.5, &[]).is_empty());
     }
 
     #[test]
@@ -384,7 +223,10 @@ mod tests {
         assert_eq!(query_page(&s, &a2(), 0, ProberMode::InProcess), Err(CrawlError::CorruptPage));
         assert!(query_page(&s, &a2(), 0, ProberMode::InProcess).is_ok());
         let tally = s.tally();
-        assert_eq!((tally.transient, tally.stalls, tally.corrupt, tally.panics), (1, 1, 1, 0));
+        for kind in [FaultKind::Transient, FaultKind::Stall { rounds: 7 }, FaultKind::Corrupt] {
+            assert_eq!(tally.count(kind), 1, "{kind:?}");
+        }
+        assert_eq!(tally.count(FaultKind::Panic), 0);
         assert_eq!(tally.total(), 3);
     }
 
@@ -412,7 +254,7 @@ mod tests {
             "the clone's request is number 2 in the shared stream"
         );
         assert_eq!(s.requests_seen(), 2);
-        assert_eq!(s.tally().transient, 1);
+        assert_eq!(s.tally().count(FaultKind::Transient), 1);
     }
 
     #[test]
@@ -422,7 +264,7 @@ mod tests {
             let _ = query_page(&s, &a2(), 0, ProberMode::InProcess);
         }));
         assert!(caught.is_err(), "the scheduled panic must fire");
-        assert_eq!(s.tally().panics, 1);
+        assert_eq!(s.tally().count(FaultKind::Panic), 1);
         // The stream advanced past the panic: the next request succeeds.
         assert!(query_page(&s, &a2(), 0, ProberMode::InProcess).is_ok());
     }

@@ -126,7 +126,7 @@ impl AllocationStrategy {
 ///
 /// `S` is any [`DataSource`] handle a pool worker can own while the job's
 /// slice runs: a `WebDbServer` (exclusive), an `Arc<WebDbServer>` (shared
-/// with other jobs), or a [`crate::FaultySource`]-wrapped source.
+/// with other jobs), or a [`crate::FaultPlanSource`]-wrapped source.
 pub struct FleetJob<S: DataSource> {
     /// The target source handle.
     pub source: S,
@@ -1296,7 +1296,7 @@ struct SliceResult {
 
 /// The original fleet engine: one OS thread and one grant channel **per
 /// job**, kept as the A/B baseline the `fleet_sched` bench gate measures
-/// the pool against. It allocates through the same [`allocate`] function as
+/// the pool against. It allocates through the same `allocate` function as
 /// the pool, so on deterministic sources its [`FleetReport`] matches
 /// [`run_fleet`]'s (scheduler section aside — no slices are pooled here).
 ///

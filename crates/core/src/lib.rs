@@ -23,7 +23,7 @@
 //! trait — a [`source::SourceRequest`]/[`source::SourceResponse`] envelope per
 //! page request, `&self`, atomically billed — which makes an in-process
 //! [`dwc_server::WebDbServer`], a fault-injecting decorator
-//! ([`source::FaultySource`]), and a protocol-backed [`serve::Connection`]
+//! ([`fault::FaultPlanSource`]), and a protocol-backed [`serve::Connection`]
 //! into a [`serve::SourceService`] (bounded queue, admission control,
 //! deadlines, cancellation) interchangeable.
 //! Because the trait is implemented for `&S` and `Arc<S>` too, the same
@@ -54,6 +54,7 @@ pub mod metrics;
 pub mod policy;
 pub mod report;
 pub mod sched;
+pub mod schedule;
 pub mod serve;
 pub mod source;
 pub mod stage;
@@ -63,13 +64,13 @@ pub mod tenant;
 pub mod trace;
 
 pub use abort::AbortPolicy;
-pub use chaos::{shrink_plan, ChaosKind, ChaosPlan, ChaosSpecError, ChaosState, ChaosTally};
+pub use chaos::{ChaosKind, ChaosPlan, ChaosSpecError, ChaosState, WireDelays};
 pub use checkpoint::Checkpoint;
 pub use config::{ConfigError, RetryPolicy};
 pub use crawler::{CrawlConfig, CrawlReport, Crawler, ProberMode, QueryMode, StopReason};
 pub use domain_table::DomainTable;
 pub use events::{BreakerPhase, CrawlEvent, EventBus, EventSink, JsonlSink, MemorySink};
-pub use fault::{FaultKind, FaultPlan, FaultPlanSource, FaultTally};
+pub use fault::{FaultKind, FaultPlan, FaultPlanSource};
 pub use fleet::{
     run_fleet, run_fleet_controlled, run_fleet_supervised, run_fleet_thread_per_job,
     AllocationStrategy, Allocator, EvenAllocator, FleetConfig, FleetController, FleetJob, FleetOps,
@@ -82,13 +83,13 @@ pub use metrics::{replay_report, replay_service_report, replay_usage, MetricsReg
 pub use policy::{PolicyKind, SelectionPolicy};
 pub use report::CrawlSummary;
 pub use sched::{Pool, SchedulerStats, TaskCtx, WorkerStats};
+pub use schedule::{shrink_plan, Armed, Schedule, Tally};
 pub use serve::{
     ClientPool, Connection, LatencyModel, ServeConfig, ServeConfigBuilder, ServiceReport,
     SourceService,
 };
 pub use source::{
-    CancelToken, CrawlError, DataSource, FaultySource, PageMeta, ServiceMeta, SourceRequest,
-    SourceResponse,
+    CancelToken, CrawlError, DataSource, PageMeta, ServiceMeta, SourceRequest, SourceResponse,
 };
 pub use stage::{Executor, Ingestor, Planner};
 pub use state::{CandStatus, CrawlState, QueryOutcome};

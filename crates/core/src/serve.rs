@@ -1,4 +1,4 @@
-//! The serving tier: [`WebDbServer`] (or any [`DataSource`]) behind a real
+//! The serving tier: [`dwc_server::WebDbServer`] (or any [`DataSource`]) behind a real
 //! request/response boundary.
 //!
 //! The paper's cost model (Definition 2.3) bills communication rounds
@@ -82,8 +82,8 @@
 use crate::chaos::{ChaosKind, ChaosState};
 use crate::events::{BreakerPhase, CrawlEvent, EventBus, EventSink};
 use crate::extract::{page_ref_to_wire, parse_page_ref, ExtractedPage, ExtractedPageRef};
-use crate::fault::splitmix64;
 use crate::health::{BreakerConfig, CircuitBreaker};
+use crate::schedule::splitmix64;
 use crate::source::{
     CancelToken, CrawlError, DataSource, PageMeta, ProberMode, ServiceMeta, SourceRequest,
     SourceResponse,
@@ -790,9 +790,8 @@ impl<S: DataSource> Connection<S> {
             if chaos.is_halted() {
                 return Err(CrawlError::Cancelled);
             }
-            let (frame, fault) = chaos.next_frame();
+            let (frame, fault) = chaos.next();
             if let Some(kind) = fault {
-                chaos.note(kind);
                 match kind {
                     // A corrupted request frame fails service-side framing
                     // and is discarded — observably a drop, like a downed
@@ -801,8 +800,8 @@ impl<S: DataSource> Connection<S> {
                         self.shared.emit(CrawlEvent::FrameDropped { frame });
                         return Ok(SubmitOutcome::RequestFrameLost);
                     }
-                    ChaosKind::Stall => jc.exec_delay = chaos.plan().stall(),
-                    ChaosKind::Reorder => jc.exec_delay = chaos.plan().reorder(),
+                    ChaosKind::Stall => jc.exec_delay = chaos.stall(),
+                    ChaosKind::Reorder => jc.exec_delay = chaos.reorder(),
                     ChaosKind::Duplicate => duplicate = true,
                     ChaosKind::Crash => jc.crash_before = true,
                     ChaosKind::Halt => return Err(CrawlError::Cancelled),
@@ -811,17 +810,16 @@ impl<S: DataSource> Connection<S> {
             // The reply frame is allocated now: every chaos decision is made
             // at submit time, so a schedule is a pure function of the frame
             // counter, independent of worker timing.
-            let (reply_frame, reply_fault) = chaos.next_frame();
+            let (reply_frame, reply_fault) = chaos.next();
             if let Some(kind) = reply_fault {
-                chaos.note(kind);
                 match kind {
                     ChaosKind::Drop | ChaosKind::Disconnect => {
                         jc.drop_reply = true;
                         self.shared.emit(CrawlEvent::FrameDropped { frame: reply_frame });
                     }
                     ChaosKind::Corrupt => jc.corrupt_reply = true,
-                    ChaosKind::Stall => jc.reply_delay = chaos.plan().stall(),
-                    ChaosKind::Reorder => jc.reply_delay = chaos.plan().reorder(),
+                    ChaosKind::Stall => jc.reply_delay = chaos.stall(),
+                    ChaosKind::Reorder => jc.reply_delay = chaos.reorder(),
                     // A doubled reply is discarded by the client; tally only.
                     ChaosKind::Duplicate => {}
                     ChaosKind::Crash => jc.crash_after = true,
@@ -1522,7 +1520,7 @@ mod tests {
         // (which executed) is billed.
         assert_eq!(inner.rounds_used(), 2, "direct probe + one service execution");
         assert_eq!(conn.rounds_used(), inner.rounds_used());
-        assert_eq!(chaos.tally().dropped, 1);
+        assert_eq!(chaos.tally().count(ChaosKind::Drop), 1);
         drop(conn);
         let report = service.shutdown();
         assert_eq!(report.frames_dropped, 1);
@@ -1568,7 +1566,7 @@ mod tests {
         assert!(!served.records.is_empty(), "client never sees the truncated frame");
         assert_eq!(inner.rounds_used(), 1);
         assert_eq!(conn.rounds_used(), 2);
-        assert_eq!(chaos.tally().corrupted, 1);
+        assert_eq!(chaos.tally().count(ChaosKind::Corrupt), 1);
         drop(conn);
         let report = service.shutdown();
         assert_eq!(report.retransmitted, 1);
@@ -1629,7 +1627,7 @@ mod tests {
         drop(conn);
         let report = service.shutdown();
         assert_eq!(inner.rounds_used(), 1, "the double executes once");
-        assert_eq!(chaos.tally().duplicated, 1);
+        assert_eq!(chaos.tally().count(ChaosKind::Duplicate), 1);
         assert_eq!(report.enqueued, 2);
         assert_eq!(report.completed, 2);
         assert_eq!(report.retransmitted, 1);

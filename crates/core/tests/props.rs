@@ -3,13 +3,46 @@
 //! randomly generated databases.
 
 use dwc_core::checkpoint::Checkpoint;
-use dwc_core::extract::{page_to_wire, parse_page, parse_page_ref, ExtractedPage, ExtractedRecord};
+use dwc_core::extract::{
+    page_to_wire, parse_html_page, parse_html_page_ref, parse_page, parse_page_ref, ExtractedPage,
+    ExtractedRecord,
+};
 use dwc_core::policy::PolicyKind;
 use dwc_core::state::CandStatus;
 use dwc_core::{AbortPolicy, CrawlConfig, Crawler, QueryMode};
 use dwc_model::{AttrId, AttrSpec, Schema, UniversalTable};
-use dwc_server::{InterfaceSpec, WebDbServer};
+use dwc_server::{InterfaceSpec, Query, RenderFormat, WebDbServer};
 use proptest::prelude::*;
+
+/// Every char-boundary prefix of `doc` that stops short of the end of its
+/// last `close` tag — a page truncated in flight.
+fn cuts_before_close<'a>(doc: &'a str, close: &str) -> Vec<&'a str> {
+    let end = doc.rfind(close).expect("document carries its closing tag") + close.len();
+    (0..end).filter(|&cut| doc.is_char_boundary(cut)).map(|cut| &doc[..cut]).collect()
+}
+
+/// A server-rendered result page — the Figure-1 `A=a2` query, two records
+/// per page, so page 0 carries the `#next` marker — is rejected by all four
+/// parsers when cut anywhere before its closing tag, instead of parsing with
+/// records (or the next-page marker) missing.
+#[test]
+fn truncated_server_pages_are_rejected() {
+    let table = dwc_model::fixtures::figure1_table();
+    let server = WebDbServer::new(table.clone(), InterfaceSpec::permissive(table.schema(), 2));
+    let query = Query::ByString { attr: "A".into(), value: "a2".into() };
+    let xml = server.rendered_page(&query, 0, RenderFormat::Xml).unwrap();
+    let html = server.rendered_page(&query, 0, RenderFormat::Html).unwrap();
+    assert!(parse_page(xml.text()).unwrap().has_more);
+    assert!(parse_html_page(html.text()).unwrap().has_more);
+    for cut in cuts_before_close(xml.text(), "</results>") {
+        assert!(parse_page(cut).is_err(), "owned XML parser accepted {cut:?}");
+        assert!(parse_page_ref(cut).is_err(), "zero-copy XML parser accepted {cut:?}");
+    }
+    for cut in cuts_before_close(html.text(), "</body></html>") {
+        assert!(parse_html_page(cut).is_err(), "owned HTML parser accepted {cut:?}");
+        assert!(parse_html_page_ref(cut).is_err(), "zero-copy HTML parser accepted {cut:?}");
+    }
+}
 
 /// Deterministic companion to `zero_copy_and_owned_parsers_agree`: the exact
 /// corpus the extractor's unit tests escape by hand, one field per pairing.
@@ -259,6 +292,17 @@ proptest! {
         let zero_copy = parse_page_ref(&wire).unwrap().to_owned_page();
         prop_assert_eq!(&owned, &zero_copy, "parsers disagree on {}", wire);
         prop_assert_eq!(&owned, &page, "wire round-trip must be exact");
+    }
+
+    /// A page truncated anywhere before its closing `</results>` tag is
+    /// rejected by both wire parsers — never parsed with records missing.
+    #[test]
+    fn truncated_pages_are_rejected(page in page_strategy()) {
+        let wire = page_to_wire(&page);
+        for cut in cuts_before_close(&wire, "</results>") {
+            prop_assert!(parse_page(cut).is_err(), "owned parser accepted {:?}", cut);
+            prop_assert!(parse_page_ref(cut).is_err(), "zero-copy parser accepted {:?}", cut);
+        }
     }
 
     /// Keyword-mode coverage is a superset of structured-mode coverage: any

@@ -35,18 +35,6 @@ impl FaultPolicy {
         self.max_faults = Some(max);
         self
     }
-
-    /// Whether request number `request_no` (1-based) should fail, given that
-    /// `faults_so_far` have already been injected.
-    pub fn should_fail(&self, request_no: u64, faults_so_far: u64) -> bool {
-        let Some(n) = self.fail_every else { return false };
-        if let Some(max) = self.max_faults {
-            if faults_so_far >= max {
-                return false;
-            }
-        }
-        request_no.is_multiple_of(n)
-    }
 }
 
 /// Thread-safe fault-injection ledger.
@@ -57,23 +45,23 @@ impl FaultPolicy {
 /// claimed with a compare-and-swap loop, so even under concurrent probing the
 /// cap is exact: never one fault more than allowed.
 #[derive(Debug, Default)]
-pub struct FaultState {
+pub(crate) struct FaultState {
     injected: AtomicU64,
 }
 
 impl FaultState {
     /// A fresh ledger with zero injected faults.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 
     /// Number of faults injected so far.
-    pub fn injected(&self) -> u64 {
+    pub(crate) fn injected(&self) -> u64 {
         self.injected.load(Ordering::Relaxed)
     }
 
     /// Zeroes the ledger (between experiment runs).
-    pub fn reset(&self) {
+    pub(crate) fn reset(&self) {
         self.injected.store(0, Ordering::Relaxed);
     }
 
@@ -81,7 +69,7 @@ impl FaultState {
     /// `policy`, atomically claiming one unit of the fault budget when it
     /// does. Returns `true` exactly when the caller must report a transient
     /// failure.
-    pub fn try_inject(&self, policy: &FaultPolicy, request_no: u64) -> bool {
+    pub(crate) fn try_inject(&self, policy: &FaultPolicy, request_no: u64) -> bool {
         let Some(n) = policy.fail_every else { return false };
         if !request_no.is_multiple_of(n) {
             return false;
@@ -111,23 +99,24 @@ mod tests {
 
     #[test]
     fn none_never_fails() {
-        let p = FaultPolicy::none();
-        assert!((1..100).all(|i| !p.should_fail(i, 0)));
+        let (p, s) = (FaultPolicy::none(), FaultState::new());
+        assert!((1..100).all(|i| !s.try_inject(&p, i)));
+        assert_eq!(s.injected(), 0);
     }
 
     #[test]
     fn every_third_fails() {
-        let p = FaultPolicy::every(3);
-        let fails: Vec<u64> = (1..=9).filter(|&i| p.should_fail(i, 0)).collect();
+        let (p, s) = (FaultPolicy::every(3), FaultState::new());
+        let fails: Vec<u64> = (1..=9).filter(|&i| s.try_inject(&p, i)).collect();
         assert_eq!(fails, vec![3, 6, 9]);
     }
 
     #[test]
     fn max_faults_caps_injection() {
-        let p = FaultPolicy::every(2).up_to(2);
-        assert!(p.should_fail(2, 0));
-        assert!(p.should_fail(4, 1));
-        assert!(!p.should_fail(6, 2), "budget exhausted");
+        let (p, s) = (FaultPolicy::every(2).up_to(2), FaultState::new());
+        assert!(s.try_inject(&p, 2));
+        assert!(s.try_inject(&p, 4));
+        assert!(!s.try_inject(&p, 6), "budget exhausted");
     }
 
     #[test]

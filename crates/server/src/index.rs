@@ -73,7 +73,7 @@ impl InvertedIndex {
     ///
     /// The two shortest lists are intersected straight out of the index (no
     /// upfront copy of the shortest list), and each pairwise step switches to
-    /// galloping search when the longer side is ≥[`GALLOP_SKEW`]× the shorter
+    /// galloping search when the longer side is ≥[`Self::GALLOP_SKEW`]× the shorter
     /// — the common shape for conjunctions of one rare and one popular value.
     pub fn intersect(&self, values: &[ValueId]) -> Vec<RecordId> {
         match values {

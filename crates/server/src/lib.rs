@@ -34,7 +34,7 @@ pub mod wire;
 
 pub use cache::{PageCache, RenderFormat, RenderedPage};
 pub use error::ServerError;
-pub use fault::{FaultPolicy, FaultState};
+pub use fault::FaultPolicy;
 pub use index::InvertedIndex;
 pub use interface::{InterfaceSpec, Query};
 pub use server::{PageRecord, ResultPage, WebDbServer};

@@ -88,7 +88,7 @@ impl Backend {
 /// workers as `Arc<WebDbServer>` and every page request lands in the same
 /// global round counter (Definition 2.3 bills the *source*, not the worker).
 ///
-/// Records and postings come from a [`Backend`]: fully resident
+/// Records and postings come from a backend: fully resident
 /// ([`WebDbServer::new`]) or served from paged segments
 /// ([`WebDbServer::paged`]). The interface, fault policy, billing, and page
 /// cache are backend-independent.

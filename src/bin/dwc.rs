@@ -652,7 +652,7 @@ struct ChaosOutcome {
     inner_rounds: u64,
     pool_rounds: u64,
     frames: u64,
-    tally: ChaosTally,
+    tally: Tally<ChaosKind>,
 }
 
 fn chaos_crawl(
@@ -704,7 +704,7 @@ fn chaos_crawl(
         replayed: deep_web_crawler::core::replay_service_report(&sink.collected()),
         inner_rounds: inner.rounds_used(),
         pool_rounds,
-        frames: chaos.frames_sent(),
+        frames: chaos.seen(),
         tally: chaos.tally(),
     })
 }
@@ -826,7 +826,9 @@ fn cmd_chaos(args: &[String]) -> Result<(), String> {
             let rate: f64 = flag(&flags, "chaos-rate")
                 .unwrap_or("0.1")
                 .parse()
-                .map_err(|_| "bad --chaos-rate")?;
+                .ok()
+                .filter(|r| (0.0..=1.0).contains(r))
+                .ok_or("--chaos-rate must be a number in [0, 1]")?;
             let horizon: u64 = flag(&flags, "chaos-horizon")
                 .unwrap_or("256")
                 .parse()
@@ -860,18 +862,9 @@ fn cmd_chaos(args: &[String]) -> Result<(), String> {
 
     let run = chaos_crawl(&table, &plan, &opts)?;
     eprintln!("chaos      : {origin}, {} fault(s) over {} wire frames", plan.len(), run.frames);
-    eprintln!(
-        "injected   : {} dropped / {} dup / {} corrupt / {} stalled / {} reordered / {} \
-         disconnects / {} crashes{}",
-        run.tally.dropped,
-        run.tally.duplicated,
-        run.tally.corrupted,
-        run.tally.stalled,
-        run.tally.reordered,
-        run.tally.disconnects,
-        run.tally.crashes,
-        if run.tally.halted { " / HALTED" } else { "" }
-    );
+    let injected: Vec<String> =
+        ChaosKind::ALL.iter().map(|&k| format!("{} {k}", run.tally.count(k))).collect();
+    eprintln!("injected   : {}", injected.join(" / "));
     println!("records    : {} / {} (baseline {})", run.report.records, n, baseline.records);
     println!("rounds     : crawl {} / billed {}", run.report.rounds, run.pool_rounds);
     println!(

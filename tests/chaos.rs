@@ -60,7 +60,7 @@ struct ChaosRun {
     replayed: ServiceReport,
     inner_rounds: u64,
     conn_rounds: u64,
-    tally: ChaosTally,
+    tally: Tally<ChaosKind>,
 }
 
 fn run_chaos(plan: &ChaosPlan) -> ChaosRun {
@@ -68,7 +68,13 @@ fn run_chaos(plan: &ChaosPlan) -> ChaosRun {
     let service = SourceService::start(Arc::clone(&inner), ServeConfig::default());
     let sink = MemorySink::new();
     service.add_sink(Box::new(sink.clone()));
-    let chaos = Arc::new(ChaosState::new(plan.clone()));
+    // Sub-millisecond stall/reorder keeps 1,000 schedules fast while still
+    // exercising the delayed-execution paths.
+    let chaos = Arc::new(
+        ChaosState::new(plan.clone())
+            .stall_for(Duration::from_micros(200))
+            .reorder_for(Duration::from_micros(100)),
+    );
     let conn = service.connect().with_chaos(Arc::clone(&chaos));
     let report = run_crawl(conn.clone());
     // Chaos duplicates enqueued alongside the crawl's final request may
@@ -211,11 +217,7 @@ fn seeded_chaos_matrix_holds_every_invariant() {
     for kind in matrix_kinds() {
         for i in 0..SEEDS_PER_KIND {
             let seed = base + i;
-            // Sub-millisecond stall/reorder keeps 1,000 schedules fast while
-            // still exercising the delayed-execution paths.
-            let plan = ChaosPlan::seeded(seed, 48, 0.2, &[kind])
-                .stall_for(Duration::from_micros(200))
-                .reorder_for(Duration::from_micros(100));
+            let plan = ChaosPlan::seeded(seed, 48, 0.2, &[kind]);
             if let Some(why) = violation(&plan, &baseline) {
                 report_failure(kind, seed, &plan, &why, &baseline);
             }
@@ -244,9 +246,7 @@ fn mixed_kind_schedules_hold_every_invariant() {
     let base = seed_base();
     for i in 0..64 {
         let seed = 10_000 + base + i;
-        let plan = ChaosPlan::seeded(seed, 48, 0.25, &ChaosKind::ALL)
-            .stall_for(Duration::from_micros(200))
-            .reorder_for(Duration::from_micros(100));
+        let plan = ChaosPlan::seeded(seed, 48, 0.25, &ChaosKind::ALL);
         if let Some(why) = violation(&plan, &baseline) {
             report_failure(ChaosKind::Drop, seed, &plan, &why, &baseline);
         }
@@ -267,7 +267,7 @@ fn shrinking_a_halting_plan_isolates_the_halt() {
     assert!(fails(&plan), "a mid-crawl halt must change the crawl report");
     let shrunk = shrink_plan(&plan, fails);
     assert_eq!(shrunk.len(), 1, "only the halt matters: {}", shrunk.to_spec());
-    assert_eq!(shrunk.kind_at(5), Some(ChaosKind::Halt));
+    assert_eq!(shrunk.get(5), Some(ChaosKind::Halt));
 }
 
 // ---------------------------------------------------------------------------
@@ -324,7 +324,7 @@ fn service_killed_at_every_frame_recovers_to_the_uninterrupted_report() {
         let conn = service.connect().with_chaos(Arc::clone(&chaos));
         let report = run_protocol_bfs(conn);
         assert_eq!(report.records, baseline.records, "fault-free protocol parity");
-        chaos.frames_sent()
+        chaos.seen()
     };
     assert!(frames >= 4, "the reference crawl must actually use the wire");
     for halt_at in 1..=frames {
@@ -421,4 +421,26 @@ proptest! {
         prop_assert_eq!(report.queries, baseline.queries);
         prop_assert_eq!(report.rounds, baseline.rounds, "BFS resume is cost-exact");
     }
+}
+
+/// `dwc chaos` refuses a chaos rate outside [0, 1], or NaN, with a message
+/// and exit status 1, instead of clamping it or drawing an empty plan.
+#[test]
+fn cli_rejects_out_of_range_chaos_rates() {
+    let dir = std::env::temp_dir().join(format!("dwc-chaos-rate-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let csv = dir.join("figure1.csv");
+    std::fs::write(&csv, deep_web_crawler::datagen::loader::to_csv(&figure1_table())).unwrap();
+    for rate in ["1.5", "nan", "-0.1"] {
+        let out = std::process::Command::new(env!("CARGO_BIN_EXE_dwc"))
+            .arg("chaos")
+            .arg(&csv)
+            .args(["--seed-value", "A=a2", "--chaos-rate", rate])
+            .output()
+            .unwrap();
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "--chaos-rate {rate} must fail: {stderr}");
+        assert!(stderr.contains("--chaos-rate must be a number in [0, 1]"), "{stderr}");
+    }
+    std::fs::remove_dir_all(&dir).unwrap();
 }
