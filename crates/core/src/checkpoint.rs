@@ -18,10 +18,11 @@
 //! newline — is detected at parse time instead of resuming from silently
 //! damaged state. Version 1 blobs (no checksum) are still accepted; unknown
 //! future versions are rejected with [`CheckpointError::UnsupportedVersion`].
-//! Durable storage (atomic writes, backup rotation) is [`crate::store`]'s
-//! job; this module only defines the blob.
+//! Durable storage (per-query deltas, atomic compaction, backup rotation)
+//! is [`crate::journal`]'s job; this module only defines the blob.
 
 use crate::state::CandStatus;
+use dwc_model::packed::fnv1a64;
 use dwc_model::ValueId;
 use std::fmt::Write as _;
 
@@ -122,70 +123,26 @@ const HEADER_V1: &str = "DWC-CHECKPOINT v1";
 const HEADER_V2_PREFIX: &str = "DWC-CHECKPOINT v2 crc=";
 const HEADER_ANY_PREFIX: &str = "DWC-CHECKPOINT ";
 
-/// FNV-1a over the raw bytes — dependency-free, stable across platforms.
-fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        hash ^= u64::from(b);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    hash
-}
-
 impl Checkpoint {
     /// Serializes to the current (v2) text format: a header line carrying the
     /// FNV-1a checksum of everything after it, then the body sections.
     pub fn to_text(&self) -> String {
-        let body = self.body_text();
-        let mut out = String::with_capacity(HEADER_V2_PREFIX.len() + 17 + body.len());
-        let _ = writeln!(out, "{HEADER_V2_PREFIX}{:016x}", fnv1a64(body.as_bytes()));
-        out.push_str(&body);
-        out
-    }
-
-    /// The body sections (everything after the header line).
-    fn body_text(&self) -> String {
-        let mut out = String::new();
-        let _ = writeln!(
-            out,
-            "meta\t{}\t{}\t{}\t{}",
-            self.page_size,
-            u8::from(self.keyword_mode),
-            self.rounds,
-            self.queries
-        );
-        let _ = writeln!(out, "attrs\t{}", self.attr_names.len());
-        for (name, q) in self.attr_names.iter().zip(&self.attr_queriable) {
-            let _ = writeln!(out, "a\t{}\t{}", escape(name), u8::from(*q));
+        TextParts {
+            attr_names: &self.attr_names,
+            attr_queriable: &self.attr_queriable,
+            page_size: self.page_size,
+            keyword_mode: self.keyword_mode,
+            values: (self.values.len(), self.values.iter().map(|(a, s)| (*a, s.as_str()))),
+            status: &self.status,
+            queried: self.queried.iter().copied(),
+            records: (
+                self.records.len(),
+                self.records.iter().map(|(k, v)| (*k, v.iter().copied())),
+            ),
+            rounds: self.rounds,
+            queries: self.queries,
         }
-        let _ = writeln!(out, "values\t{}", self.values.len());
-        for (attr, s) in &self.values {
-            let _ = writeln!(out, "v\t{attr}\t{}", escape(s));
-        }
-        // Statuses as one compact line: U / F / Q per value.
-        let mut st = String::with_capacity(self.status.len());
-        for s in &self.status {
-            st.push(match s {
-                CandStatus::Undiscovered => 'U',
-                CandStatus::Frontier => 'F',
-                CandStatus::Queried => 'Q',
-            });
-        }
-        let _ = writeln!(out, "status\t{st}");
-        let _ = writeln!(
-            out,
-            "queried\t{}",
-            self.queried.iter().map(|q| q.to_string()).collect::<Vec<_>>().join(",")
-        );
-        let _ = writeln!(out, "records\t{}", self.records.len());
-        for (key, vals) in &self.records {
-            let _ = writeln!(
-                out,
-                "r\t{key}\t{}",
-                vals.iter().map(|v| v.to_string()).collect::<Vec<_>>().join(",")
-            );
-        }
-        out
+        .into_text()
     }
 
     /// Parses the text format, negotiating the version from the header: v2
@@ -341,6 +298,86 @@ impl Checkpoint {
             .enumerate()
             .filter(|(_, s)| **s == CandStatus::Frontier)
             .map(|(i, _)| ValueId(i as u32))
+    }
+}
+
+/// The parts of a checkpoint the v2 text format reads, borrowed: from a
+/// [`Checkpoint`], or straight from live crawl state, so a journal base is
+/// written without first copying the whole crawl into a `Checkpoint` (whose
+/// one `String` per value and `Vec` per record would churn the heap).
+pub(crate) struct TextParts<'a, V, Q, R> {
+    pub attr_names: &'a [String],
+    pub attr_queriable: &'a [bool],
+    pub page_size: usize,
+    pub keyword_mode: bool,
+    /// How many values, then `(attr index, value string)` in id order.
+    pub values: (usize, V),
+    pub status: &'a [CandStatus],
+    pub queried: Q,
+    /// How many records, then `(source key, value ids)` in harvest order.
+    pub records: (usize, R),
+    pub rounds: u64,
+    pub queries: u64,
+}
+
+impl<'a, V, Q, R, I> TextParts<'a, V, Q, R>
+where
+    V: Iterator<Item = (u16, &'a str)>,
+    Q: Iterator<Item = u32>,
+    R: Iterator<Item = (u64, I)>,
+    I: Iterator<Item = u32>,
+{
+    /// The v2 text: a header line carrying the FNV-1a checksum of
+    /// everything after it, then the body sections.
+    pub(crate) fn into_text(self) -> String {
+        // The header is fixed-width: write a placeholder and patch in the
+        // body's checksum once the body is written.
+        let mut out = format!("{HEADER_V2_PREFIX}{:016x}\n", 0);
+        let body_start = out.len();
+        let _ = writeln!(
+            out,
+            "meta\t{}\t{}\t{}\t{}",
+            self.page_size,
+            u8::from(self.keyword_mode),
+            self.rounds,
+            self.queries
+        );
+        let _ = writeln!(out, "attrs\t{}", self.attr_names.len());
+        for (name, q) in self.attr_names.iter().zip(self.attr_queriable) {
+            let _ = writeln!(out, "a\t{}\t{}", escape(name), u8::from(*q));
+        }
+        let _ = writeln!(out, "values\t{}", self.values.0);
+        for (attr, s) in self.values.1 {
+            let _ = writeln!(out, "v\t{attr}\t{}", escape(s));
+        }
+        // Statuses as one compact line: U / F / Q per value.
+        out.push_str("status\t");
+        out.extend(self.status.iter().map(|s| match s {
+            CandStatus::Undiscovered => 'U',
+            CandStatus::Frontier => 'F',
+            CandStatus::Queried => 'Q',
+        }));
+        out.push_str("\nqueried\t");
+        push_ids(&mut out, self.queried);
+        let _ = writeln!(out, "\nrecords\t{}", self.records.0);
+        for (key, vals) in self.records.1 {
+            let _ = write!(out, "r\t{key}\t");
+            push_ids(&mut out, vals);
+            out.push('\n');
+        }
+        let crc = format!("{:016x}", fnv1a64(&out.as_bytes()[body_start..]));
+        out.replace_range(HEADER_V2_PREFIX.len()..body_start - 1, &crc);
+        out
+    }
+}
+
+/// Appends `ids` comma-separated.
+fn push_ids(out: &mut String, ids: impl Iterator<Item = u32>) {
+    for (i, id) in ids.enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        let _ = write!(out, "{id}");
     }
 }
 

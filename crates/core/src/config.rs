@@ -200,10 +200,6 @@ pub enum QueryMode {
     },
 }
 
-/// Checkpoint cadence (in completed queries) used when a store is configured
-/// without an explicit [`CrawlConfig::checkpoint_every`].
-pub const DEFAULT_CHECKPOINT_EVERY: u64 = 32;
-
 /// Crawl limits and knobs.
 ///
 /// Prefer [`CrawlConfig::builder`], which validates parameters at build
@@ -243,16 +239,11 @@ pub struct CrawlConfig {
     pub prober: ProberMode,
     /// Query submission mode (structured form fill vs keyword box).
     pub query_mode: QueryMode,
-    /// Where periodic checkpoints are persisted. `None` disables periodic
-    /// checkpointing (manual [`crate::Crawler::checkpoint`] still works).
-    pub checkpoint_store: Option<crate::store::CheckpointStore>,
-    /// Snapshot cadence in completed queries, when a store is set; `None`
-    /// uses [`DEFAULT_CHECKPOINT_EVERY`].
-    pub checkpoint_every: Option<u64>,
-    /// Where the per-query state journal is appended
-    /// ([`crate::journal::StateJournal`]). `None` disables journaling.
-    /// When combined with a checkpoint store, every successful periodic
-    /// checkpoint rebases and truncates the journal.
+    /// Where the crawl's state journal lives
+    /// ([`crate::journal::StateJournal`]): one delta frame per completed
+    /// query over a base snapshot, compacted atomically as it grows. `None`
+    /// keeps no durable state (manual [`crate::Crawler::checkpoint`] still
+    /// works).
     pub journal_path: Option<PathBuf>,
     /// Shared memory budget, in MiB, for out-of-core serving: the driver
     /// splits it between the segment-store buffer pool and the server's
@@ -282,8 +273,6 @@ impl Default for CrawlConfig {
             max_requeues: 4,
             prober: ProberMode::default(),
             query_mode: QueryMode::default(),
-            checkpoint_store: None,
-            checkpoint_every: None,
             journal_path: None,
             mem_budget_mb: None,
             deadline: None,
@@ -363,19 +352,7 @@ impl CrawlConfigBuilder {
         self
     }
 
-    /// Enables periodic checkpointing into `store`.
-    pub fn checkpoint_store(mut self, store: crate::store::CheckpointStore) -> Self {
-        self.config.checkpoint_store = Some(store);
-        self
-    }
-
-    /// Sets the checkpoint cadence in completed queries. Must be positive.
-    pub fn checkpoint_every(mut self, queries: u64) -> Self {
-        self.config.checkpoint_every = Some(queries);
-        self
-    }
-
-    /// Enables the per-query state journal at `path`.
+    /// Enables the state journal at `path`.
     pub fn journal_path(mut self, path: impl Into<PathBuf>) -> Self {
         self.config.journal_path = Some(path.into());
         self
@@ -419,9 +396,6 @@ impl CrawlConfigBuilder {
         }
         if c.max_queries == Some(0) {
             return Err(ConfigError::ZeroBudget("max_queries"));
-        }
-        if c.checkpoint_every == Some(0) {
-            return Err(ConfigError::ZeroBudget("checkpoint_every"));
         }
         if let QueryMode::Conjunctive { arity } = c.query_mode {
             if arity < 2 {

@@ -13,7 +13,7 @@
 //! runs it against the source (pagination, retries, abortion, round
 //! billing), and the [`Ingestor`] harvests its records and grows the
 //! frontier. The driver contributes only the glue the stages cannot own —
-//! requeue bookkeeping, periodic checkpointing, and stop conditions.
+//! requeue bookkeeping, the state journal, and stop conditions.
 //!
 //! Nothing here keeps counters. Every observable fact flows as a
 //! [`CrawlEvent`] through the crawler's [`EventBus`], and the bus's
@@ -22,6 +22,7 @@
 //! buffers) with [`Crawler::add_sink`].
 
 use crate::events::{CrawlEvent, EventBus, EventSink};
+use crate::journal::StateJournal;
 use crate::policy::SelectionPolicy;
 use crate::source::DataSource;
 use crate::stage::{Executor, Ingestor, Planner};
@@ -29,7 +30,7 @@ use crate::state::{CandStatus, CrawlState, QueryOutcome};
 use dwc_model::ValueId;
 use std::collections::HashMap;
 
-pub use crate::config::{CrawlConfig, CrawlConfigBuilder, QueryMode, DEFAULT_CHECKPOINT_EVERY};
+pub use crate::config::{CrawlConfig, CrawlConfigBuilder, QueryMode};
 pub use crate::events::StopReason;
 pub use crate::metrics::CrawlReport;
 pub use crate::source::ProberMode;
@@ -49,13 +50,14 @@ pub struct Crawler<S: DataSource> {
     bus: EventBus,
     /// Per-value requeue tally (values absent have never been requeued).
     requeues: HashMap<ValueId, u32>,
-    /// Per-query state journal, when `config.journal_path` is set. The base
-    /// frame is written lazily at the first [`Crawler::step`] so seeds
-    /// planted between construction and the first query are captured.
-    journal: Option<crate::journal::StateJournal>,
-    /// Set when the configured journal could not be created; the first
-    /// [`Crawler::step`] reports it, once sinks are attached.
-    journal_open_failed: bool,
+    /// The crawl's durable state, when `config.journal_path` is set. A
+    /// fresh crawl writes the base frame at its first [`Crawler::step`], so
+    /// seeds planted between construction and the first query are
+    /// captured; a resumed crawl writes it in [`Crawler::resume`].
+    journal: Option<StateJournal>,
+    /// The event of the base written by [`Crawler::resume`]; the first
+    /// [`Crawler::step`] emits it, once sinks are attached.
+    deferred: Option<CrawlEvent>,
 }
 
 impl<S: DataSource> Crawler<S> {
@@ -82,7 +84,7 @@ impl<S: DataSource> Crawler<S> {
         planner.init(&mut state);
         let executor = Executor::from_config(&config);
         let ingestor = Ingestor::new(matches!(config.query_mode, QueryMode::Conjunctive { .. }));
-        let (journal, journal_open_failed) = Self::open_journal(&config);
+        let journal = config.journal_path.as_deref().map(StateJournal::new);
         Crawler {
             source,
             planner,
@@ -93,32 +95,35 @@ impl<S: DataSource> Crawler<S> {
             bus: EventBus::new(),
             requeues: HashMap::new(),
             journal,
-            journal_open_failed,
+            deferred: None,
         }
     }
 
-    /// Creates the state journal named by the configuration, if any, and
-    /// says whether creating it failed. Creation failures are non-fatal,
-    /// mirroring checkpoint persistence: the crawl proceeds unjournaled.
-    fn open_journal(config: &CrawlConfig) -> (Option<crate::journal::StateJournal>, bool) {
-        match config.journal_path.as_deref().map(crate::journal::StateJournal::create) {
-            None => (None, false),
-            Some(Ok(journal)) => (Some(journal), false),
-            Some(Err(_)) => (None, true),
-        }
-    }
-
-    /// Stops journaling after a failed journal write and reports it as
-    /// [`CrawlEvent::JournalFailed`]; the crawl proceeds unjournaled.
-    fn journal_failed(&mut self) {
-        self.journal = None;
-        self.bus.emit(CrawlEvent::JournalFailed);
+    /// Compacts the journal onto a base holding the current state and
+    /// returns the event that reports it: [`CrawlEvent::CheckpointWritten`]
+    /// or [`CrawlEvent::CheckpointFailed`]. A failed first base means the
+    /// journal could not be created: journaling stops and the event is
+    /// [`CrawlEvent::JournalFailed`]. Persistence failures never kill the
+    /// crawl.
+    fn compact_journal(&mut self) -> Option<CrawlEvent> {
+        let journal = self.journal.as_mut()?;
+        let created = journal.has_base();
+        let metrics = self.bus.metrics();
+        Some(match journal.write_base(&self.state, metrics.rounds(), metrics.queries()) {
+            Ok(rotated_backup) => CrawlEvent::CheckpointWritten { rotated_backup },
+            Err(_) if created => CrawlEvent::CheckpointFailed,
+            Err(_) => {
+                self.journal = None;
+                CrawlEvent::JournalFailed
+            }
+        })
     }
 
     /// Resumes a checkpointed crawl against `source` with a fresh policy
     /// instance. The shared state (vocabulary, statuses, `DB_local`,
     /// `L_queried`, cost counters) is restored exactly; policy internals and
-    /// derived indexes are rebuilt.
+    /// derived indexes are rebuilt. With `config.journal_path` set, the
+    /// resumed state is compacted into the journal before this returns.
     ///
     /// # Panics
     /// Panics if the checkpoint is internally inconsistent (ids out of
@@ -130,41 +135,8 @@ impl<S: DataSource> Crawler<S> {
         checkpoint: &crate::checkpoint::Checkpoint,
         config: CrawlConfig,
     ) -> Self {
-        assert_eq!(
-            checkpoint.values.len(),
-            checkpoint.status.len(),
-            "checkpoint status/vocabulary mismatch"
-        );
-        let mut state = CrawlState::new(
-            checkpoint.attr_names.clone(),
-            checkpoint.attr_queriable.clone(),
-            checkpoint.page_size,
-        );
-        state.keyword_mode = checkpoint.keyword_mode;
+        let mut state = CrawlState::from_checkpoint(checkpoint);
         state.target_size = config.known_target_size;
-        for (attr, s) in &checkpoint.values {
-            assert!((*attr as usize) < state.attr_names.len(), "value attr out of range");
-            state.intern(dwc_model::AttrId(*attr), s);
-        }
-        state.status.copy_from_slice(&checkpoint.status);
-        state.queried = checkpoint
-            .queried
-            .iter()
-            .map(|&q| {
-                assert!((q as usize) < checkpoint.values.len(), "queried id out of range");
-                ValueId(q)
-            })
-            .collect();
-        for (key, vals) in &checkpoint.records {
-            let values: Vec<ValueId> = vals
-                .iter()
-                .map(|&v| {
-                    assert!((v as usize) < checkpoint.values.len(), "record id out of range");
-                    ValueId(v)
-                })
-                .collect();
-            state.local.insert(*key, values);
-        }
         let mut planner = Planner::new(policy, config.query_mode);
         planner.resume(&mut state);
         let executor = Executor::from_config(&config);
@@ -177,8 +149,8 @@ impl<S: DataSource> Crawler<S> {
             queries: checkpoint.queries,
             records: state.local.num_records() as u64,
         });
-        let (journal, journal_open_failed) = Self::open_journal(&config);
-        Crawler {
+        let journal = config.journal_path.as_deref().map(StateJournal::new);
+        let mut crawler = Crawler {
             source,
             planner,
             executor,
@@ -188,8 +160,10 @@ impl<S: DataSource> Crawler<S> {
             bus,
             requeues: HashMap::new(),
             journal,
-            journal_open_failed,
-        }
+            deferred: None,
+        };
+        crawler.deferred = crawler.compact_journal();
+        crawler
     }
 
     /// Snapshots the crawl into a [`crate::checkpoint::Checkpoint`]:
@@ -286,7 +260,7 @@ impl<S: DataSource> Crawler<S> {
         self.bus.metrics().fault_streak()
     }
 
-    /// Checkpoints persisted by the periodic checkpointing loop so far.
+    /// Journal compactions written so far.
     pub fn checkpoints_written(&self) -> u64 {
         self.bus.metrics().checkpoints_written()
     }
@@ -357,16 +331,11 @@ impl<S: DataSource> Crawler<S> {
     /// then the driver's bookkeeping. Returns `None` when seeds and frontier
     /// are both exhausted.
     pub fn step(&mut self) -> Option<()> {
-        if std::mem::take(&mut self.journal_open_failed) {
-            self.bus.emit(CrawlEvent::JournalFailed);
-        }
         if self.journal.as_ref().is_some_and(|j| !j.has_base()) {
-            let base = self.checkpoint();
-            // Journal persistence failures never kill the crawl, mirroring
-            // checkpoint-store semantics; the crawl proceeds unjournaled.
-            if self.journal.as_mut().expect("presence checked").write_base(&base).is_err() {
-                self.journal_failed();
-            }
+            self.deferred = self.compact_journal();
+        }
+        if let Some(event) = self.deferred.take() {
+            self.bus.emit(event);
         }
         let planned = self.planner.plan(&mut self.state, &self.ingestor, &mut self.bus)?;
         let local_before =
@@ -425,48 +394,23 @@ impl<S: DataSource> Crawler<S> {
         if let Some(v) = v {
             self.planner.on_query_done(&self.state, v, &outcome);
         }
-        if let Some(journal) = self.journal.as_mut() {
-            let (rounds, queries) = (self.bus.metrics().rounds(), self.bus.metrics().queries());
-            if journal.append_delta(&self.state, rounds, queries).is_err() {
-                self.journal_failed();
-            }
-        }
-        self.maybe_checkpoint();
+        self.journal_query();
     }
 
-    /// Persists a periodic checkpoint when a store is configured and the
-    /// cadence is due. The cadence check runs before any snapshot is built,
-    /// and the store is borrowed, never cloned. Persistence failures never
-    /// kill the crawl — they are tallied as [`CrawlEvent::CheckpointFailed`]
-    /// and the previous on-disk generation stays valid.
-    fn maybe_checkpoint(&mut self) {
-        if self.config.checkpoint_store.is_none() {
-            return;
+    /// Appends the finished query's delta frame, and compacts the journal
+    /// once the deltas since its base reach the base frame's size. A failed
+    /// append stops journaling ([`CrawlEvent::JournalFailed`]); the crawl
+    /// proceeds unjournaled.
+    fn journal_query(&mut self) {
+        let Some(journal) = self.journal.as_mut() else { return };
+        let metrics = self.bus.metrics();
+        if journal.append_delta(&self.state, metrics.rounds(), metrics.queries()).is_err() {
+            self.journal = None;
+            self.bus.emit(CrawlEvent::JournalFailed);
+        } else if journal.due() {
+            let event = self.compact_journal().expect("journal present");
+            self.bus.emit(event);
         }
-        let every = self.config.checkpoint_every.unwrap_or(DEFAULT_CHECKPOINT_EVERY).max(1);
-        if !self.bus.metrics().queries().is_multiple_of(every) {
-            return;
-        }
-        let snapshot = self.checkpoint();
-        let saved = self
-            .config
-            .checkpoint_store
-            .as_ref()
-            .expect("presence checked above")
-            .save_with_receipt(&snapshot);
-        if saved.is_ok() {
-            // The snapshot is durable elsewhere: rebase the journal onto it
-            // and drop the deltas it absorbed.
-            if let Some(journal) = self.journal.as_mut() {
-                if journal.write_base(&snapshot).is_err() {
-                    self.journal_failed();
-                }
-            }
-        }
-        self.bus.emit(match saved {
-            Ok(receipt) => CrawlEvent::CheckpointWritten { rotated_backup: receipt.rotated_backup },
-            Err(_) => CrawlEvent::CheckpointFailed,
-        });
     }
 }
 
@@ -797,6 +741,19 @@ mod tests {
         let resumed = crawler2.run();
         assert_eq!(resumed.records, 5, "DM resume must still reach everything");
         assert_eq!(resumed.final_coverage, Some(1.0));
+    }
+
+    #[test]
+    fn state_text_is_the_checkpoint_text() {
+        let server = figure1_server(1);
+        let mut crawler = Crawler::new(&server, PolicyKind::Bfs.build(), CrawlConfig::default());
+        crawler.add_seed("A", "a2");
+        crawler.step().unwrap();
+        crawler.step().unwrap();
+        let text = crawler.state().checkpoint_text(crawler.rounds(), crawler.metrics().queries());
+        assert_eq!(text, crawler.checkpoint().to_text());
+        let cp = crate::checkpoint::Checkpoint::from_text(&text).unwrap();
+        assert_eq!(CrawlState::from_checkpoint(&cp).checkpoint_text(cp.rounds, cp.queries), text);
     }
 
     #[test]

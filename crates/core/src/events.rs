@@ -4,7 +4,7 @@
 //! page requested, a retry billed, records ingested, a checkpoint written, a
 //! breaker transition, a worker restart — is a [`CrawlEvent`]. Events are
 //! emitted exactly once, at the layer where the fact is established
-//! (executor, ingestor, checkpoint loop, fleet supervisor), and flow through
+//! (executor, ingestor, state journal, fleet supervisor), and flow through
 //! an [`EventBus`] to any number of [`EventSink`]s. The first, mandatory
 //! sink is the [`crate::metrics::MetricsRegistry`]: the *single source of
 //! truth* from which [`crate::CrawlReport`], `FleetReport::health` and
@@ -110,7 +110,7 @@ impl BreakerPhase {
 /// The taxonomy spans all layers: planner (`QueryPlanned`), executor
 /// (`PageRequested` through `QueryAborted`), ingestor (`PageFetched`
 /// carries the harvest), the driver's bookkeeping (`QueryCompleted`,
-/// `QueryRequeued`, checkpoint and journal events, `CrawlResumed` /
+/// `QueryRequeued`, journal events, `CrawlResumed` /
 /// `CrawlFinished`), the fleet coordinator (`SliceScheduled` through
 /// `TenantPreempted`), the fleet supervisor (`BreakerTransition`,
 /// `WorkerRestarted`, `JobAbandoned`) and the serving tier
@@ -133,9 +133,9 @@ impl BreakerPhase {
 /// | `QueryAborted` | `CrawlReport::aborted_queries` |
 /// | `QueryCompleted` | `CrawlReport::queries`; pushes a [`crate::CrawlTrace`] point |
 /// | `QueryRequeued` | `CrawlReport::requeued_queries` |
-/// | `CheckpointWritten` | `CrawlReport::checkpoints_written` |
-/// | `CheckpointFailed` | `CrawlReport::checkpoint_failures` |
-/// | `JournalFailed` | `CrawlReport::journal_failures` |
+/// | `CheckpointWritten` | `CrawlReport::checkpoints_written` (journal compactions) |
+/// | `CheckpointFailed` | `CrawlReport::checkpoint_failures` (failed compactions) |
+/// | `JournalFailed` | `CrawlReport::journal_failures` (journal creation or append failed) |
 /// | `CrawlResumed` | seeds `rounds`/`queries`/`records`; pushes a trace point |
 /// | `CrawlFinished` | `CrawlReport::stop` / `final_coverage` |
 /// | `BreakerTransition` | [`crate::JobHealth`] `breaker_trips` / `breaker_recoveries` |
@@ -205,16 +205,18 @@ pub enum CrawlEvent {
         /// Crawler-vocabulary id of the requeued candidate.
         candidate: u32,
     },
-    /// A periodic checkpoint was persisted.
+    /// The state journal was compacted onto a fresh base snapshot: at
+    /// crawl start, on resume, or once its deltas reached the base's size.
     CheckpointWritten {
         /// Whether the previous on-disk generation was rotated to `.bak`.
         rotated_backup: bool,
     },
-    /// A periodic checkpoint save failed (the crawl continues; the previous
-    /// on-disk generation remains valid).
+    /// A journal compaction failed. The crawl continues, deltas keep
+    /// appending to the live log, and the compaction is retried later.
     CheckpointFailed,
-    /// The state journal could not be created or written; the crawl
-    /// continues unjournaled (recovery falls back to the last checkpoint).
+    /// The state journal could not be created, or an append to it failed.
+    /// The crawl continues unjournaled; recovery then yields the state up
+    /// to the last frame written before the failure, if any.
     JournalFailed,
     /// The crawl resumed from a checkpoint with these already-billed
     /// counters. Also emitted as a snapshot when a sink attaches to a crawl

@@ -49,9 +49,9 @@
 //! * every slice runs under [`std::panic::catch_unwind`] — isolation is
 //!   per *slice*, not per thread, so a panicking job never takes a pool
 //!   worker (or its queued siblings) down with it; the supervisor rebuilds
-//!   the victim from its last persisted checkpoint
-//!   ([`CrawlConfig::checkpoint_store`]) — completed rounds are not
-//!   re-billed, at most one checkpoint interval of work is repeated;
+//!   the victim from its state journal ([`CrawlConfig::journal_path`]) —
+//!   completed rounds are not re-billed, at most the query in flight is
+//!   repeated;
 //! * a job that panics more than [`FleetConfig::max_restarts`] times is
 //!   abandoned with [`StopReason::WorkerFailed`] instead of wedging the
 //!   fleet;
@@ -79,11 +79,11 @@ use crate::config::{ConfigError, RetryPolicy};
 use crate::crawler::{CrawlConfig, CrawlReport, Crawler, StopReason};
 use crate::events::CrawlEvent;
 use crate::health::{BreakerConfig, CircuitBreaker, JobHealth};
+use crate::journal::StateJournal;
 use crate::metrics::MetricsRegistry;
 use crate::policy::PolicyKind;
 use crate::sched::{Pool, SchedulerStats, TaskCtx};
 use crate::source::DataSource;
-use crate::store::CheckpointStore;
 use crate::tenant::{validate_tenants, Tenant, TenantId, UsageLedger};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::mpsc;
@@ -643,7 +643,7 @@ struct SliceOutcome<S: DataSource> {
     panicked: bool,
     /// The parked crawler, returned to its coordinator slot. `None` when
     /// the slice panicked — the in-memory state is suspect then, and the
-    /// supervisor rebuilds from the last durable checkpoint instead.
+    /// supervisor rebuilds from the job's state journal instead.
     crawler: Option<Crawler<S>>,
 }
 
@@ -719,7 +719,7 @@ fn build_crawler<S: DataSource>(job: FleetJob<S>) -> Crawler<S> {
 /// entry point provides one (it needs `S: Clone`); the plain [`run_fleet`]
 /// passes `None` and escalates panics instead.
 trait Respawn<S: DataSource> {
-    /// The job's last persisted checkpoint, if any generation loads.
+    /// The job's state recovered from its journal, if any generation loads.
     fn load_checkpoint(&self, idx: usize) -> Option<Checkpoint>;
     /// A fresh crawler for the job, resumed from `resume` when given.
     fn rebuild(&self, idx: usize, resume: Option<&Checkpoint>) -> Crawler<S>;
@@ -739,8 +739,8 @@ struct JobSpec<S: DataSource> {
 
 impl<S: DataSource + Clone> Respawn<S> for Vec<JobSpec<S>> {
     fn load_checkpoint(&self, idx: usize) -> Option<Checkpoint> {
-        let store = self[idx].config.checkpoint_store.as_ref()?;
-        store.load_or_backup().ok().map(|(cp, _)| cp)
+        let path = self[idx].config.journal_path.as_deref()?;
+        StateJournal::recover(path).ok().flatten().map(|rec| rec.checkpoint)
     }
 
     fn rebuild(&self, idx: usize, resume: Option<&Checkpoint>) -> Crawler<S> {
@@ -816,12 +816,6 @@ where
         .iter()
         .map(|j| j.tenant.and_then(|id| config.tenants.iter().position(|t| t.id == id)))
         .collect();
-    // Final checkpoint handles, kept so a finished job's last state is
-    // durable even between periodic checkpoint ticks (what `dwc resume
-    // --workers` picks up). The saves happen outside the crawlers' event
-    // streams, so reports and replay parity are unaffected.
-    let mut stores: Vec<Option<CheckpointStore>> =
-        jobs.iter().map(|j| j.config.checkpoint_store.clone()).collect();
     let mut cells: Vec<Option<Crawler<S>>> = jobs
         .into_iter()
         .map(|mut job| {
@@ -883,7 +877,6 @@ where
                         let slot = job
                             .tenant
                             .and_then(|id| config.tenants.iter().position(|t| t.id == id));
-                        stores.push(job.config.checkpoint_store.clone());
                         let crawler = build_crawler(job);
                         let idx = n;
                         n += 1;
@@ -1108,11 +1101,6 @@ where
             continue;
         }
         let crawler = cells[i].take().expect("unfinished job has a parked crawler");
-        if let Some(store) = &stores[i] {
-            // Best effort: a failed final save leaves the last periodic
-            // generation valid, exactly like CheckpointFailed mid-crawl.
-            let _ = store.save(&crawler.checkpoint());
-        }
         let stop = if done[i] {
             StopReason::FrontierExhausted
         } else if parked[i] {
@@ -1238,7 +1226,7 @@ where
 ///
 /// Semantics of [`run_fleet`] plus the fault tolerance described in the
 /// [module docs](self): a slice that panics is caught on the worker, the
-/// job is rebuilt from its last persisted checkpoint (up to
+/// job is rebuilt from its state journal (up to
 /// [`FleetConfig::max_restarts`] times, then abandoned with
 /// [`StopReason::WorkerFailed`]), jobs whose failure streak trips their
 /// [`CircuitBreaker`] are paused by removal from the run queue, and
@@ -1463,7 +1451,6 @@ where
 mod tests {
     use super::*;
     use crate::fault::{FaultPlan, FaultPlanSource};
-    use crate::store::CheckpointStore;
     use dwc_server::{FaultPolicy, InterfaceSpec, WebDbServer};
     use std::sync::Arc;
 
@@ -1473,7 +1460,7 @@ mod tests {
         WebDbServer::new(t, spec)
     }
 
-    fn scratch_store(name: &str) -> CheckpointStore {
+    fn scratch_journal(name: &str) -> std::path::PathBuf {
         use std::sync::atomic::{AtomicU64, Ordering};
         static N: AtomicU64 = AtomicU64::new(0);
         let dir = std::env::temp_dir().join(format!(
@@ -1482,7 +1469,7 @@ mod tests {
             N.fetch_add(1, Ordering::Relaxed)
         ));
         std::fs::create_dir_all(&dir).unwrap();
-        CheckpointStore::new(dir.join("job.ckpt"))
+        dir.join("job.jnl")
     }
 
     fn job(seed_value: &str) -> FleetJob<WebDbServer> {
@@ -1665,13 +1652,9 @@ mod tests {
 
     #[test]
     fn fleet_resumes_a_job_from_its_checkpoint() {
-        let store = scratch_store("fleet-resume");
-        let partial_config = CrawlConfig::builder()
-            .known_target_size(5)
-            .checkpoint_store(store.clone())
-            .checkpoint_every(1)
-            .build()
-            .unwrap();
+        let journal = scratch_journal("fleet-resume");
+        let partial_config =
+            CrawlConfig::builder().known_target_size(5).journal_path(&journal).build().unwrap();
         let partial = run_fleet(
             vec![FleetJob {
                 source: figure1_server(),
@@ -1684,7 +1667,7 @@ mod tests {
             FleetConfig::builder().total_rounds(2).slice(2).build().unwrap(),
         );
         assert!(partial.sources[0].records < 5, "tiny budget must stop early");
-        let (cp, _) = store.load_or_backup().expect("final checkpoint persisted");
+        let cp = StateJournal::recover(&journal).unwrap().expect("journal persisted").checkpoint;
         assert!(cp.rounds > 0);
         let resumed = run_fleet(
             vec![FleetJob {
@@ -1707,11 +1690,11 @@ mod tests {
     /// A one-job supervised fleet over a fault-plan-wrapped shared server.
     fn supervised_job(
         plan: FaultPlan,
-        store: Option<CheckpointStore>,
+        journal: Option<std::path::PathBuf>,
     ) -> FleetJob<FaultPlanSource<Arc<WebDbServer>>> {
         let mut builder = CrawlConfig::builder().known_target_size(5).max_requeues(10);
-        if let Some(store) = store {
-            builder = builder.checkpoint_store(store).checkpoint_every(1);
+        if let Some(journal) = journal {
+            builder = builder.journal_path(journal);
         }
         FleetJob {
             source: FaultPlanSource::new(Arc::new(figure1_server()), plan),
@@ -1740,22 +1723,22 @@ mod tests {
 
     #[test]
     fn panicking_slice_restarts_from_checkpoint_and_finishes() {
-        let store = scratch_store("restart");
-        let jobs = vec![supervised_job(FaultPlan::new().panic_at(4), Some(store.clone()))];
+        let journal = scratch_journal("restart");
+        let jobs = vec![supervised_job(FaultPlan::new().panic_at(4), Some(journal.clone()))];
         let config = FleetConfig::builder().total_rounds(1000).slice(5).build().unwrap();
         let report = run_fleet_supervised(jobs, config);
         assert_eq!(report.health[0].worker_restarts, 1, "one injected crash, one restart");
         assert!(!report.health[0].abandoned);
         assert_eq!(report.sources[0].records, 5, "recovery must lose no records");
-        assert!(store.exists(), "periodic checkpoints were persisted");
+        assert!(journal.exists(), "the journal was persisted");
     }
 
     #[test]
     fn job_without_restart_budget_is_abandoned() {
-        let store = scratch_store("abandon");
+        let journal = scratch_journal("abandon");
         // Panic on every early request: even rebuilt jobs die again.
         let plan = FaultPlan::new().panic_at(1).panic_at(2).panic_at(3).panic_at(4);
-        let jobs = vec![supervised_job(plan, Some(store))];
+        let jobs = vec![supervised_job(plan, Some(journal))];
         let config =
             FleetConfig::builder().total_rounds(1000).slice(5).max_restarts(2).build().unwrap();
         let report = run_fleet_supervised(jobs, config);
@@ -1766,10 +1749,10 @@ mod tests {
 
     #[test]
     fn breaker_trips_on_burst_and_recovers() {
-        let store = scratch_store("breaker");
+        let journal = scratch_journal("breaker");
         // 20 consecutive transient failures starting at request 4: long
         // enough that a slice boundary lands mid-burst with a live streak.
-        let jobs = vec![supervised_job(FaultPlan::new().burst(4, 20), Some(store))];
+        let jobs = vec![supervised_job(FaultPlan::new().burst(4, 20), Some(journal))];
         let config = FleetConfig::builder()
             .total_rounds(4000)
             .slice(8)

@@ -1,21 +1,28 @@
-//! Incremental crawl-state journal: per-query delta frames over a
-//! checkpointed base.
+//! Crawl-state journal: the crawler's one durable state path.
 //!
-//! Periodic checkpoints ([`crate::store::CheckpointStore`]) bound recovery
-//! loss to one checkpoint *interval* — up to [`crate::crawler::DEFAULT_CHECKPOINT_EVERY`]
-//! queries of re-spent communication rounds. The [`StateJournal`] closes that
-//! gap with a log-structured append per completed query: frame 0 holds a
-//! full v2 checkpoint blob (the *base*), every later frame a small text
-//! *delta* describing exactly what one query changed — new vocabulary
-//! entries, status transitions, `L_queried` growth, harvested records, and
-//! the cost counters. Both layers share the same trust model: the base is a
-//! checksummed checkpoint, each delta frame is independently checksummed by
-//! the [`dwc_store::FrameLog`] framing, and recovery replays the longest
-//! valid prefix — a crash mid-append loses at most the query being framed.
+//! A [`StateJournal`] is a [`dwc_store::FrameLog`] whose frame 0 holds a
+//! full v2 checkpoint blob (the *base*) and every later frame a small text
+//! *delta* describing exactly what one completed query changed — new
+//! vocabulary entries, status transitions, `L_queried` growth, harvested
+//! records, and the cost counters. Each frame is checksummed by the frame
+//! log, and recovery replays the longest valid prefix: a crash mid-append
+//! loses at most the query being framed.
 //!
-//! When the periodic checkpointer succeeds, the crawler rewrites the journal
-//! base from the freshly persisted snapshot and truncates the deltas: the
-//! journal never grows past one checkpoint interval of frames.
+//! [`StateJournal::write_base`] compacts the journal onto a fresh base. It
+//! never rewrites the live file: it writes a one-frame log to `<path>.tmp`
+//! and syncs it, rotates `<path>` to `<path>.bak`, renames the temporary
+//! into place and syncs the directory. At every instant a complete journal
+//! is on disk — a crash before the rotation leaves the old log as the
+//! primary, a crash between the renames leaves it as `.bak` — and both
+//! generations describe the same state. [`StateJournal::recover`] replays `<path>` and falls
+//! back to `<path>.bak` when the primary has no valid base frame.
+//!
+//! The crawler compacts at crawl start, on resume, and whenever the delta
+//! bytes since the base reach the base frame's size
+//! ([`StateJournal::due`]). A compaction therefore writes at most twice
+//! the delta bytes it absorbs, the file stays under twice its base plus one
+//! delta frame, and a crawl whose state grows steadily compacts O(log n)
+//! times in n queries.
 //!
 //! Delta frame payload (line-oriented, same percent-escaping as the
 //! checkpoint format):
@@ -33,7 +40,7 @@ use crate::checkpoint::{escape, unescape, Checkpoint, CheckpointError};
 use crate::state::{CandStatus, CrawlState};
 use dwc_store::FrameLog;
 use std::io;
-use std::path::Path;
+use std::path::{Path, PathBuf};
 
 fn status_char(s: CandStatus) -> char {
     match s {
@@ -69,58 +76,122 @@ pub struct JournalRecovery {
     pub deltas_applied: u64,
     /// Whether a torn or corrupt tail was discarded during replay.
     pub torn: bool,
+    /// Whether the primary file had no valid base frame and the previous
+    /// generation at `<path>.bak` was replayed instead.
+    pub from_backup: bool,
 }
 
-/// Append-only per-query state journal over a [`FrameLog`].
+/// Per-query state journal over a [`FrameLog`], compacted by atomic
+/// rename (see the module docs).
 #[derive(Debug)]
 pub struct StateJournal {
-    log: FrameLog,
+    path: PathBuf,
+    /// The live log; `None` until the first base frame is written.
+    log: Option<FrameLog>,
+    /// Bytes of the live log's base frame.
+    base_len: u64,
+    /// Log length at which [`StateJournal::due`] turns true.
+    compact_at: u64,
     /// Shadow of the crawl state at the last appended frame, used to diff.
     shadow_status: Vec<CandStatus>,
     shadow_vocab_len: usize,
     shadow_records_len: usize,
     shadow_queried: Vec<u32>,
-    has_base: bool,
 }
 
 impl StateJournal {
-    /// Creates (truncating) a journal at `path`. The base frame is written
-    /// by the first [`StateJournal::write_base`].
-    pub fn create(path: &Path) -> io::Result<Self> {
-        Ok(StateJournal {
-            log: FrameLog::create(path)?,
+    /// A journal at `path`. Nothing on disk changes until the first
+    /// [`StateJournal::write_base`].
+    pub fn new(path: impl Into<PathBuf>) -> Self {
+        StateJournal {
+            path: path.into(),
+            log: None,
+            base_len: 0,
+            compact_at: 0,
             shadow_status: Vec::new(),
             shadow_vocab_len: 0,
             shadow_records_len: 0,
             shadow_queried: Vec::new(),
-            has_base: false,
-        })
+        }
+    }
+
+    /// Where the previous generation of the journal at `path` is kept.
+    pub fn backup_path(path: &Path) -> PathBuf {
+        sibling(path, ".bak")
     }
 
     /// Whether the base frame has been written yet.
     pub fn has_base(&self) -> bool {
-        self.has_base
+        self.log.is_some()
     }
 
-    /// Frames in the journal (base + deltas).
+    /// Frames in the live log (base + deltas).
     pub fn frames(&self) -> u64 {
-        self.log.frames()
+        self.log.as_ref().map_or(0, FrameLog::frames)
     }
 
-    /// Resets the journal to a fresh base snapshot: truncates every frame
-    /// and writes `cp` as frame 0. Called at crawl start (after seeds are
-    /// planted) and after every successful periodic checkpoint — the journal
-    /// then only carries deltas newer than durable state elsewhere.
-    pub fn write_base(&mut self, cp: &Checkpoint) -> io::Result<()> {
-        self.log.reset()?;
-        self.log.append(cp.to_text().as_bytes())?;
-        self.log.sync()?;
-        self.shadow_status = cp.status.clone();
-        self.shadow_vocab_len = cp.values.len();
-        self.shadow_records_len = cp.records.len();
-        self.shadow_queried = cp.queried.clone();
-        self.has_base = true;
-        Ok(())
+    /// Whether the deltas since the base have grown to the base frame's
+    /// size, so the next [`StateJournal::write_base`] is due.
+    pub fn due(&self) -> bool {
+        self.log.as_ref().is_some_and(|log| log.len() >= self.compact_at)
+    }
+
+    /// Compacts the journal onto `state` at these cost counters as its new
+    /// base: writes a one-frame log to `<path>.tmp` and syncs it, rotates
+    /// the current file to `<path>.bak`, renames the temporary into place
+    /// and syncs the directory. Returns whether a previous generation was
+    /// rotated. On failure, deltas keep appending to whichever log is live,
+    /// and the next compaction is put off by another base's worth of
+    /// deltas.
+    pub fn write_base(
+        &mut self,
+        state: &CrawlState,
+        rounds: u64,
+        queries: u64,
+    ) -> io::Result<bool> {
+        let written = self.compact(state, rounds, queries);
+        if written.is_err() {
+            if let Some(log) = &self.log {
+                self.compact_at = log.len() + self.base_len;
+            }
+        }
+        written
+    }
+
+    fn compact(&mut self, state: &CrawlState, rounds: u64, queries: u64) -> io::Result<bool> {
+        // A compaction renames files: a device node or directory at `path`
+        // is never a journal, and must not be moved aside.
+        let rotate = match std::fs::metadata(&self.path) {
+            Ok(meta) if meta.is_file() => true,
+            Ok(_) => {
+                return Err(io::Error::new(
+                    io::ErrorKind::InvalidInput,
+                    "journal path is not a regular file",
+                ))
+            }
+            Err(e) if e.kind() == io::ErrorKind::NotFound => false,
+            Err(e) => return Err(e),
+        };
+        let tmp = sibling(&self.path, ".tmp");
+        let mut log = FrameLog::create(&tmp)?;
+        log.append(state.checkpoint_text(rounds, queries).as_bytes())?;
+        log.sync()?;
+        if rotate {
+            std::fs::rename(&self.path, Self::backup_path(&self.path))?;
+        }
+        std::fs::rename(&tmp, &self.path)?;
+        self.base_len = log.len();
+        self.compact_at = 2 * log.len();
+        self.log = Some(log);
+        self.shadow_status.clear();
+        self.shadow_status.extend_from_slice(&state.status);
+        self.shadow_vocab_len = state.vocab.len();
+        self.shadow_records_len = state.local.num_records();
+        self.shadow_queried = state.queried.iter().map(|v| v.0).collect();
+        // The renames are durable only once their directory is synced.
+        let dir = self.path.parent().filter(|d| !d.as_os_str().is_empty());
+        std::fs::File::open(dir.unwrap_or(Path::new(".")))?.sync_all()?;
+        Ok(rotate)
     }
 
     /// Appends one delta frame: everything `state` changed since the last
@@ -135,7 +206,7 @@ impl StateJournal {
         rounds: u64,
         queries: u64,
     ) -> io::Result<()> {
-        assert!(self.has_base, "journal delta before base frame");
+        let log = self.log.as_mut().expect("journal delta before base frame");
         let mut out = String::new();
         out.push_str(&format!("d\t{rounds}\t{queries}\n"));
         for i in self.shadow_vocab_len..state.vocab.len() {
@@ -171,7 +242,7 @@ impl StateJournal {
             let ids: Vec<String> = vals.iter().map(|v| v.0.to_string()).collect();
             out.push_str(&format!("r\t{key}\t{}\n", ids.join(",")));
         }
-        self.log.append(out.as_bytes())?;
+        log.append(out.as_bytes())?;
         self.shadow_status.clear();
         self.shadow_status.extend_from_slice(&state.status);
         self.shadow_vocab_len = state.vocab.len();
@@ -181,30 +252,55 @@ impl StateJournal {
     }
 
     /// Replays the journal at `path`: parses the base checkpoint from frame
-    /// 0 and folds every intact delta frame into it. Returns `Ok(None)` when
-    /// the file is missing or holds no valid base frame.
+    /// 0 and folds every intact delta frame into it. When `path` yields no
+    /// valid base frame, the previous generation at `<path>.bak` is
+    /// replayed instead. Returns `Ok(None)` when neither file holds a base
+    /// frame (missing, empty or torn before the first frame ends); a base
+    /// or delta frame that passes its checksum but does not parse, with no
+    /// backup to fall back on, is an `InvalidData` error.
     pub fn recover(path: &Path) -> io::Result<Option<JournalRecovery>> {
-        let replay = FrameLog::replay(path)?;
-        let Some(base) = replay.frames.first() else {
-            return Ok(None);
-        };
-        let text = std::str::from_utf8(base)
-            .map_err(|_| io::Error::new(io::ErrorKind::InvalidData, "journal base not UTF-8"))?;
-        let mut cp = Checkpoint::from_text(text).map_err(|e| {
-            io::Error::new(io::ErrorKind::InvalidData, format!("journal base: {e}"))
-        })?;
-        let mut deltas_applied = 0u64;
-        for frame in &replay.frames[1..] {
-            let text = std::str::from_utf8(frame).map_err(|_| {
-                io::Error::new(io::ErrorKind::InvalidData, "journal delta not UTF-8")
-            })?;
-            apply_delta(&mut cp, text).map_err(|e| {
-                io::Error::new(io::ErrorKind::InvalidData, format!("journal delta: {e}"))
-            })?;
-            deltas_applied += 1;
+        match replay(path) {
+            Ok(Some(rec)) => Ok(Some(rec)),
+            primary => match replay(&Self::backup_path(path)) {
+                Ok(Some(rec)) => Ok(Some(JournalRecovery { from_backup: true, ..rec })),
+                _ => primary,
+            },
         }
-        Ok(Some(JournalRecovery { checkpoint: cp, deltas_applied, torn: replay.torn }))
     }
+}
+
+/// `path` with `suffix` appended to its file name.
+fn sibling(path: &Path, suffix: &str) -> PathBuf {
+    let mut name = path.file_name().unwrap_or_default().to_os_string();
+    name.push(suffix);
+    path.with_file_name(name)
+}
+
+/// Replays one journal file, without the backup fallback.
+fn replay(path: &Path) -> io::Result<Option<JournalRecovery>> {
+    let replay = FrameLog::replay(path)?;
+    let Some(base) = replay.frames.first() else {
+        return Ok(None);
+    };
+    let text = std::str::from_utf8(base)
+        .map_err(|_| io::Error::new(io::ErrorKind::InvalidData, "journal base not UTF-8"))?;
+    let mut cp = Checkpoint::from_text(text)
+        .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, format!("journal base: {e}")))?;
+    let mut deltas_applied = 0u64;
+    for frame in &replay.frames[1..] {
+        let text = std::str::from_utf8(frame)
+            .map_err(|_| io::Error::new(io::ErrorKind::InvalidData, "journal delta not UTF-8"))?;
+        apply_delta(&mut cp, text).map_err(|e| {
+            io::Error::new(io::ErrorKind::InvalidData, format!("journal delta: {e}"))
+        })?;
+        deltas_applied += 1;
+    }
+    Ok(Some(JournalRecovery {
+        checkpoint: cp,
+        deltas_applied,
+        torn: replay.torn,
+        from_backup: false,
+    }))
 }
 
 /// Folds one delta frame into a checkpoint.
@@ -267,16 +363,25 @@ fn apply_delta(cp: &mut Checkpoint, text: &str) -> Result<(), CheckpointError> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::path::PathBuf;
+    use dwc_model::AttrId;
 
+    /// A fresh directory per test: a journal owns its `.tmp` and `.bak`
+    /// siblings too.
     fn scratch(name: &str) -> PathBuf {
         use std::sync::atomic::{AtomicU64, Ordering};
         static N: AtomicU64 = AtomicU64::new(0);
         let n = N.fetch_add(1, Ordering::Relaxed);
-        std::env::temp_dir().join(format!("dwc-journal-{}-{n}-{name}.jnl", std::process::id()))
+        let dir =
+            std::env::temp_dir().join(format!("dwc-journal-{}-{n}-{name}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        dir.join("crawl.jnl")
     }
 
-    fn base_cp() -> Checkpoint {
+    fn cleanup(path: &Path) {
+        let _ = std::fs::remove_dir_all(path.parent().unwrap());
+    }
+
+    fn demo(rounds: u64) -> Checkpoint {
         Checkpoint {
             attr_names: vec!["A".into()],
             attr_queriable: vec![true],
@@ -286,54 +391,79 @@ mod tests {
             status: vec![CandStatus::Frontier],
             queried: vec![],
             records: vec![],
-            rounds: 0,
-            queries: 0,
+            rounds,
+            queries: rounds / 2,
         }
+    }
+
+    /// A one-attribute crawl state after querying `a1` and harvesting one
+    /// record that reveals `a2`.
+    fn queried_state() -> CrawlState {
+        let mut st = CrawlState::new(vec!["A".into()], vec![true], 10);
+        let a1 = st.intern(AttrId(0), "a1");
+        st.status[a1.index()] = CandStatus::Queried;
+        st.queried.push(a1);
+        let a2 = st.intern(AttrId(0), "a2");
+        st.status[a2.index()] = CandStatus::Frontier;
+        st.local.insert(7, vec![a1, a2]);
+        st
+    }
+
+    /// Compacts `j` onto the state `cp` holds.
+    fn base(j: &mut StateJournal, cp: &Checkpoint) -> io::Result<bool> {
+        j.write_base(&CrawlState::from_checkpoint(cp), cp.rounds, cp.queries)
+    }
+
+    fn recover(path: &Path) -> JournalRecovery {
+        StateJournal::recover(path).unwrap().expect("a base frame survives")
     }
 
     #[test]
     fn base_only_recovers_the_checkpoint() {
         let path = scratch("base");
-        let mut j = StateJournal::create(&path).unwrap();
+        let mut j = StateJournal::new(&path);
         assert!(!j.has_base());
-        j.write_base(&base_cp()).unwrap();
-        let rec = StateJournal::recover(&path).unwrap().unwrap();
-        assert_eq!(rec.checkpoint, base_cp());
+        assert!(!base(&mut j, &demo(0)).unwrap(), "nothing to rotate on the first base");
+        let rec = recover(&path);
+        assert_eq!(rec.checkpoint, demo(0));
         assert_eq!(rec.deltas_applied, 0);
-        assert!(!rec.torn);
-        let _ = std::fs::remove_file(&path);
+        assert!(!rec.torn && !rec.from_backup);
+        assert!(!sibling(&path, ".tmp").exists(), "the temporary must be renamed away");
+        cleanup(&path);
+    }
+
+    #[test]
+    fn base_creates_parent_directories() {
+        let path = scratch("deep");
+        let deep = path.parent().unwrap().join("a/b/crawl.jnl");
+        base(&mut StateJournal::new(&deep), &demo(2)).unwrap();
+        assert_eq!(recover(&deep).checkpoint, demo(2));
+        cleanup(&path);
     }
 
     #[test]
     fn missing_or_baseless_journal_recovers_none() {
         let path = scratch("missing");
         assert!(StateJournal::recover(&path).unwrap().is_none());
-        let _ = StateJournal::create(&path).unwrap();
-        assert!(StateJournal::recover(&path).unwrap().is_none(), "no base frame yet");
-        let _ = std::fs::remove_file(&path);
+        let _ = StateJournal::new(&path);
+        assert!(!path.exists(), "a journal touches the disk only at its first base");
+        std::fs::write(&path, b"").unwrap();
+        assert!(StateJournal::recover(&path).unwrap().is_none(), "no base frame");
+        cleanup(&path);
     }
 
     #[test]
     fn deltas_replay_state_changes() {
         let path = scratch("deltas");
-        let mut j = StateJournal::create(&path).unwrap();
-        j.write_base(&base_cp()).unwrap();
+        let mut j = StateJournal::new(&path);
+        base(&mut j, &demo(0)).unwrap();
 
-        // Simulate one completed query directly on a CrawlState.
-        let mut st = CrawlState::new(vec!["A".into()], vec![true], 10);
-        let a1 = st.intern(dwc_model::AttrId(0), "a1");
-        st.status[a1.index()] = CandStatus::Queried;
-        st.queried.push(a1);
-        let a2 = st.intern(dwc_model::AttrId(0), "a2");
-        st.status[a2.index()] = CandStatus::Frontier;
-        st.local.insert(7, vec![a1, a2]);
+        let mut st = queried_state();
         j.append_delta(&st, 3, 1).unwrap();
-
-        let rec = StateJournal::recover(&path).unwrap().unwrap();
+        let rec = recover(&path);
         assert_eq!(rec.deltas_applied, 1);
         let cp = rec.checkpoint;
-        assert_eq!(cp.rounds, 3);
-        assert_eq!(cp.queries, 1);
+        assert_eq!((cp.rounds, cp.queries), (3, 1));
         assert_eq!(cp.values, vec![(0, "a1".into()), (0, "a2".into())]);
         assert_eq!(cp.status, vec![CandStatus::Queried, CandStatus::Frontier]);
         assert_eq!(cp.queried, vec![0]);
@@ -342,31 +472,143 @@ mod tests {
         // A requeue pops L_queried and flips the status back: the journal
         // frames the full list.
         st.queried.pop();
-        st.status[a1.index()] = CandStatus::Frontier;
+        st.status[0] = CandStatus::Frontier;
         j.append_delta(&st, 4, 2).unwrap();
-        let rec = StateJournal::recover(&path).unwrap().unwrap();
+        let rec = recover(&path);
         assert_eq!(rec.checkpoint.queried, Vec::<u32>::new());
         assert_eq!(rec.checkpoint.status[0], CandStatus::Frontier);
-        let _ = std::fs::remove_file(&path);
+        cleanup(&path);
     }
 
     #[test]
-    fn rebased_journal_truncates_deltas() {
+    fn compaction_drops_absorbed_deltas_and_keeps_the_old_generation() {
         let path = scratch("rebase");
-        let mut j = StateJournal::create(&path).unwrap();
-        j.write_base(&base_cp()).unwrap();
-        let mut st = CrawlState::new(vec!["A".into()], vec![true], 10);
-        let a1 = st.intern(dwc_model::AttrId(0), "a1");
-        st.status[a1.index()] = CandStatus::Frontier;
-        j.append_delta(&st, 1, 1).unwrap();
+        let mut j = StateJournal::new(&path);
+        base(&mut j, &demo(0)).unwrap();
+        j.append_delta(&queried_state(), 1, 1).unwrap();
         assert_eq!(j.frames(), 2);
-        let mut cp2 = base_cp();
-        cp2.rounds = 9;
-        j.write_base(&cp2).unwrap();
-        assert_eq!(j.frames(), 1, "rebase drops absorbed deltas");
-        let rec = StateJournal::recover(&path).unwrap().unwrap();
-        assert_eq!(rec.checkpoint.rounds, 9);
-        assert_eq!(rec.deltas_applied, 0);
-        let _ = std::fs::remove_file(&path);
+        let before = recover(&path).checkpoint;
+        assert!(base(&mut j, &demo(9)).unwrap(), "the second base rotates the first");
+        assert_eq!(j.frames(), 1, "compaction drops absorbed deltas");
+        let rec = recover(&path);
+        assert_eq!((rec.checkpoint.rounds, rec.deltas_applied), (9, 0));
+        let bak = recover(&StateJournal::backup_path(&path));
+        assert_eq!(bak.checkpoint, before, "the previous generation survives as .bak");
+        cleanup(&path);
+    }
+
+    #[test]
+    fn compaction_is_due_once_deltas_reach_the_base_size() {
+        let path = scratch("due");
+        let mut j = StateJournal::new(&path);
+        assert!(!j.due(), "no base, nothing to compact");
+        base(&mut j, &demo(0)).unwrap();
+        let base_len = std::fs::metadata(&path).unwrap().len();
+        let st = queried_state();
+        let mut queries = 0;
+        while !j.due() {
+            assert!(std::fs::metadata(&path).unwrap().len() < 2 * base_len);
+            queries += 1;
+            j.append_delta(&st, queries, queries).unwrap();
+        }
+        assert!(std::fs::metadata(&path).unwrap().len() >= 2 * base_len);
+        base(&mut j, &recover(&path).checkpoint).unwrap();
+        assert!(!j.due(), "a fresh base resets the threshold");
+        cleanup(&path);
+    }
+
+    #[test]
+    fn corrupt_primary_falls_back_to_backup() {
+        let path = scratch("fallback");
+        let mut j = StateJournal::new(&path);
+        base(&mut j, &demo(2)).unwrap();
+        base(&mut j, &demo(8)).unwrap();
+        // Truncate the primary mid-frame, as a crash during a non-atomic
+        // writer (or disk damage) would.
+        let bytes = std::fs::read(&path).unwrap();
+        std::fs::write(&path, &bytes[..bytes.len() / 2]).unwrap();
+        let rec = recover(&path);
+        assert!(rec.from_backup, "recovery must come from the .bak generation");
+        assert_eq!(rec.checkpoint, demo(2), "one generation lost, crawl still resumable");
+        cleanup(&path);
+    }
+
+    #[test]
+    fn corrupt_primary_without_backup_reports_corruption() {
+        let path = scratch("no-backup");
+        base(&mut StateJournal::new(&path), &demo(2)).unwrap();
+        // An intact frame whose checkpoint fails its own checksum.
+        let mut log = FrameLog::create(&path).unwrap();
+        log.append(b"DWC-CHECKPOINT v2 crc=0000000000000000\n").unwrap();
+        let err = StateJournal::recover(&path).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        cleanup(&path);
+    }
+
+    /// A kill at any point inside a compaction leaves files that recover
+    /// the state being compacted — which is both the pre- and the
+    /// post-compaction state — and never `None`.
+    #[test]
+    fn kill_inside_compaction_recovers_the_compacted_state() {
+        let path = scratch("kill");
+        let (tmp, bak) = (sibling(&path, ".tmp"), StateJournal::backup_path(&path));
+        let mut j = StateJournal::new(&path);
+        base(&mut j, &demo(0)).unwrap();
+        j.append_delta(&queried_state(), 3, 1).unwrap();
+        let state = recover(&path).checkpoint;
+        let old = std::fs::read(&path).unwrap();
+        base(&mut j, &state).unwrap();
+        let new = std::fs::read(&path).unwrap();
+        assert_eq!(std::fs::read(&bak).unwrap(), old, "the old log is rotated, not rewritten");
+
+        let (old, new) = (Some(old.as_slice()), Some(new.as_slice()));
+        let torn = new.map(|b| &b[..b.len() / 2]);
+        // (kill point, primary, temporary, backup, recovered from backup)
+        let kill_points = [
+            ("temporary written, not renamed", old, new, None, false),
+            ("primary rotated before the rename", None, new, old, true),
+            ("torn base frame", torn, None, old, true),
+            ("compaction complete", new, None, old, false),
+        ];
+        for (what, primary, temporary, backup, from_backup) in kill_points {
+            for (file, bytes) in [(&path, primary), (&tmp, temporary), (&bak, backup)] {
+                let _ = std::fs::remove_file(file);
+                if let Some(bytes) = bytes {
+                    std::fs::write(file, bytes).unwrap();
+                }
+            }
+            let rec = StateJournal::recover(&path).unwrap();
+            let rec = rec.unwrap_or_else(|| panic!("{what}: nothing recovered"));
+            assert_eq!(rec.checkpoint, state, "{what}");
+            assert_eq!(rec.from_backup, from_backup, "{what}");
+        }
+        cleanup(&path);
+    }
+
+    #[test]
+    fn failed_compaction_keeps_the_live_journal() {
+        let path = scratch("failed");
+        let mut j = StateJournal::new(&path);
+        base(&mut j, &demo(0)).unwrap();
+        // A directory squatting on the temporary's name fails the write.
+        std::fs::create_dir(sibling(&path, ".tmp")).unwrap();
+        assert!(base(&mut j, &demo(5)).is_err());
+        assert!(!j.due(), "a failed compaction is retried later, not on every query");
+        j.append_delta(&queried_state(), 3, 1).unwrap();
+        let rec = recover(&path);
+        assert_eq!((rec.checkpoint.rounds, rec.deltas_applied), (3, 1), "appends continue");
+        cleanup(&path);
+    }
+
+    #[test]
+    fn non_file_journal_path_is_refused_and_left_in_place() {
+        let path = scratch("dir");
+        std::fs::create_dir(&path).unwrap();
+        let mut j = StateJournal::new(&path);
+        assert_eq!(base(&mut j, &demo(0)).unwrap_err().kind(), io::ErrorKind::InvalidInput);
+        assert!(!j.has_base());
+        assert!(path.is_dir(), "a compaction never renames what is not a journal");
+        assert!(!StateJournal::backup_path(&path).exists());
+        cleanup(&path);
     }
 }

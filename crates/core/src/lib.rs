@@ -59,7 +59,6 @@ pub mod serve;
 pub mod source;
 pub mod stage;
 pub mod state;
-pub mod store;
 pub mod tenant;
 pub mod trace;
 
@@ -93,6 +92,5 @@ pub use source::{
 };
 pub use stage::{Executor, Ingestor, Planner};
 pub use state::{CandStatus, CrawlState, QueryOutcome};
-pub use store::{CheckpointStore, SaveReceipt, StoreError};
 pub use tenant::{RateLimit, Tenant, TenantId, TokenBucket, UsageLedger};
 pub use trace::{CrawlTrace, TraceError};

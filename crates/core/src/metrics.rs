@@ -42,12 +42,12 @@ pub struct CrawlReport {
     /// workers re-requesting the same `(query, page)`); each such round was
     /// still billed per Definition 2.3.
     pub page_cache_hits: u64,
-    /// Periodic checkpoints persisted during the crawl.
+    /// State-journal compactions written during the crawl.
     pub checkpoints_written: u64,
-    /// Periodic checkpoint saves that failed (the crawl continues; the
-    /// previous on-disk generation remains valid).
+    /// State-journal compactions that failed (the crawl continues; the
+    /// live log keeps taking deltas).
     pub checkpoint_failures: u64,
-    /// State-journal creations or writes that failed (the crawl continues
+    /// State-journal creations or appends that failed (the crawl continues
     /// unjournaled after the first).
     pub journal_failures: u64,
     /// Why the crawl stopped.
@@ -328,7 +328,7 @@ impl MetricsRegistry {
         self.page_cache_hits
     }
 
-    /// Periodic checkpoints persisted so far.
+    /// State-journal compactions written so far.
     pub fn checkpoints_written(&self) -> u64 {
         self.checkpoints_written
     }

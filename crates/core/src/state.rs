@@ -7,6 +7,7 @@
 //! `L_to-query` lives inside each policy (its organization *is* the policy —
 //! queue, stack, heap, …), while `L_queried` and the vocabulary are shared.
 
+use crate::checkpoint::{Checkpoint, TextParts};
 use crate::local::LocalDb;
 use dwc_model::{AttrId, ValueId, ValueInterner};
 use std::collections::VecDeque;
@@ -108,6 +109,60 @@ impl CrawlState {
             target_size: None,
             keyword_mode: false,
         }
+    }
+
+    /// The shared state `cp` holds, restored exactly: vocabulary, statuses,
+    /// `L_queried` and `DB_local`. Cost counters live on the event bus, and
+    /// `target_size` comes from the crawl configuration.
+    ///
+    /// # Panics
+    /// Panics if the checkpoint is internally inconsistent (ids out of
+    /// range).
+    pub fn from_checkpoint(cp: &Checkpoint) -> Self {
+        assert_eq!(cp.values.len(), cp.status.len(), "checkpoint status/vocabulary mismatch");
+        let mut state =
+            CrawlState::new(cp.attr_names.clone(), cp.attr_queriable.clone(), cp.page_size);
+        state.keyword_mode = cp.keyword_mode;
+        for (attr, s) in &cp.values {
+            assert!((*attr as usize) < state.attr_names.len(), "value attr out of range");
+            state.intern(AttrId(*attr), s);
+        }
+        state.status.copy_from_slice(&cp.status);
+        let id = |v: &u32| {
+            assert!((*v as usize) < cp.values.len(), "value id out of range");
+            ValueId(*v)
+        };
+        state.queried = cp.queried.iter().map(id).collect();
+        for (key, vals) in &cp.records {
+            state.local.insert(*key, vals.iter().map(id).collect());
+        }
+        state
+    }
+
+    /// The v2 checkpoint text of this state at the given cost counters:
+    /// what [`Checkpoint::to_text`] writes for the same crawl, without
+    /// building the [`Checkpoint`] first.
+    pub(crate) fn checkpoint_text(&self, rounds: u64, queries: u64) -> String {
+        let vocab = &self.vocab;
+        TextParts {
+            attr_names: &self.attr_names,
+            attr_queriable: &self.attr_queriable,
+            page_size: self.page_size,
+            keyword_mode: self.keyword_mode,
+            values: (
+                vocab.len(),
+                vocab.iter_ids().map(|v| (vocab.attr_of(v).0, vocab.value_str(v))),
+            ),
+            status: &self.status,
+            queried: self.queried.iter().map(|v| v.0),
+            records: (
+                self.local.num_records(),
+                self.local.iter_keyed().map(|(k, vals)| (k, vals.iter().map(|v| v.0))),
+            ),
+            rounds,
+            queries,
+        }
+        .into_text()
     }
 
     /// Interns a value into the crawler vocabulary, extending the status

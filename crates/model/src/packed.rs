@@ -11,7 +11,7 @@
 use std::fmt;
 
 /// FNV-1a 64-bit hash over a byte slice — the framing checksum used by the
-/// interner spill format, the checkpoint store, and the frame log.
+/// interner spill format, the crawl checkpoint format, and the frame log.
 pub fn fnv1a64(bytes: &[u8]) -> u64 {
     let mut hash = 0xcbf2_9ce4_8422_2325u64;
     for &b in bytes {

@@ -42,7 +42,7 @@ pub use pager::{FilePager, MemPager, SegmentId, SegmentPager, DEFAULT_PAGE_SIZE}
 pub use pool::{BufferPool, PageRef, PoolStats};
 pub use table::{SegmentTable, SegmentTableBuilder};
 
-/// FNV-1a 64-bit hash, the framing checksum shared by the checkpoint store,
+/// FNV-1a 64-bit hash, the checksum shared by the crawl checkpoint format,
 /// the interner spill image and [`FrameLog`] — one arithmetic detects every
 /// kind of torn or corrupt image. Re-exported from `dwc_model::packed` so
 /// there is exactly one implementation.

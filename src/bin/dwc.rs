@@ -6,10 +6,8 @@
 //! dwc crawl <FILE.csv> [--policy bfs|dfs|random|freq|gl|mmmi]
 //!           [--seed-value ATTR=VALUE]... [--budget ROUNDS] [--page-size K]
 //!           [--cap N] [--coverage F] [--keyword] [--stats]
-//!           [--checkpoint OUT] [--resume IN] [--trace OUT.csv]
-//!           [--checkpoint-path FILE] [--checkpoint-every N]
-//!           [--events FILE.jsonl]
-//! dwc resume <FILE.csv> --checkpoint-path FILE [crawl flags]
+//!           [--journal FILE] [--trace OUT.csv] [--events FILE.jsonl]
+//! dwc resume <FILE.csv> --journal FILE [crawl flags]
 //! dwc serve <FILE.csv> --seed-value ATTR=VALUE... [--connections N]
 //!           [--requests R] [--queue D] [--serve-workers W]
 //!           [--latency-us N|MIN:MAX] [--decode-us N] [--deadline MS]
@@ -18,17 +16,16 @@
 //! `generate` writes a synthetic dataset as CSV; `graph` prints the
 //! attribute-value-graph statistics of a CSV table (Figure 2 style);
 //! `crawl` runs a crawl against an in-process server over the CSV table and
-//! reports cost and coverage, optionally checkpointing/resuming and dumping
+//! reports cost and coverage, optionally journaling its state and dumping
 //! the per-query trace for plotting.
 //!
-//! Crash safety: `--checkpoint-path` turns on *periodic* checkpointing
-//! through [`CheckpointStore`] (atomic temp-file + rename, `.bak` rotation),
-//! every `--checkpoint-every` completed queries (default
-//! [`DEFAULT_CHECKPOINT_EVERY`]). After a crash, `dwc resume` reloads the
-//! latest intact snapshot — falling back to the `.bak` generation when the
-//! primary is torn — and continues the crawl, still checkpointing into the
-//! same store. The plain `--checkpoint`/`--resume` flags remain the one-shot,
-//! bare-file variant.
+//! Crash safety: `--journal FILE` keeps the crawl's state in a
+//! [`StateJournal`]: one checksummed delta frame per completed query over a
+//! base snapshot, compacted by atomic rename (`.bak` rotation) as it grows.
+//! After a crash or a budget stop, `dwc resume FILE.csv --journal FILE`
+//! replays the journal — falling back to the `.bak` generation when the
+//! primary has no intact base — and continues the crawl, still journaling
+//! into the same file.
 //!
 //! Observability: `--events FILE.jsonl` streams every structured crawl event
 //! as one JSON line. Replaying the file through
@@ -42,7 +39,7 @@
 //! same service over a pool of N client connections — the protocol-real
 //! transport — with `--deadline MS` attaching a per-request deadline.
 
-use deep_web_crawler::core::crawler::{StopReason, DEFAULT_CHECKPOINT_EVERY};
+use deep_web_crawler::core::crawler::StopReason;
 use deep_web_crawler::core::serve::SourceService;
 use deep_web_crawler::datagen::loader::{load_csv, to_csv};
 use deep_web_crawler::model::components::Connectivity;
@@ -84,13 +81,11 @@ USAGE:
   dwc crawl <FILE.csv> [--policy bfs|dfs|random|freq|gl|mmmi]
             [--seed-value ATTR=VALUE]... [--budget ROUNDS] [--page-size K]
             [--cap N] [--coverage F] [--keyword] [--stats]
-            [--checkpoint OUT] [--resume IN] [--trace OUT.csv]
-            [--checkpoint-path FILE] [--checkpoint-every N]
-            [--journal FILE] [--mem-budget MB]
+            [--journal FILE] [--trace OUT.csv] [--mem-budget MB]
             [--events FILE.jsonl]
             [--connect N] [--deadline MS] [--queue D] [--serve-workers W]
             [--latency-us N|MIN:MAX] [--decode-us N]
-  dwc resume <FILE.csv> --checkpoint-path FILE [--workers N]
+  dwc resume <FILE.csv> --journal FILE [--workers N]
             [--allocation even|harvest|weighted-fair] [crawl flags]
   dwc fleet <FILE.csv> --seed-value ATTR=VALUE... [--workers N]
             [--policy bfs|dfs|random|freq|gl|mmmi] [--budget ROUNDS]
@@ -107,12 +102,12 @@ USAGE:
             [--connect N] [--serve-workers W] [--queue D] [--hedge-us N]
   dwc help
 
-Crash safety: --checkpoint-path enables periodic, atomic checkpointing
-(every --checkpoint-every queries; .bak rotation). `dwc resume` restarts
-from the latest intact snapshot after a crash. --journal additionally
-appends one checksummed delta frame per completed query to a frame log
-(rebased at each periodic checkpoint), bounding work lost to a kill to a
-single query.
+Crash safety: --journal FILE appends one checksummed delta frame per
+completed query to a frame log over a base snapshot, so a kill loses at
+most the query in flight. The log is compacted onto a fresh base by
+atomic rename (the previous generation is kept as FILE.bak) whenever its
+deltas reach the base's size. `dwc resume FILE.csv --journal FILE`
+continues from the journal after a crash or a budget stop.
 
 Out-of-core storage: --mem-budget MB packs the table into file-backed
 segments and serves it through a sized buffer pool; three quarters of the
@@ -304,7 +299,7 @@ fn parse_policy(name: &str) -> Result<PolicyKind, String> {
     })
 }
 
-fn cmd_crawl(args: &[String], resume_from_store: bool) -> Result<(), String> {
+fn cmd_crawl(args: &[String], resume: bool) -> Result<(), String> {
     let (pos, flags) = parse_flags(args)?;
     let path = pos.first().ok_or("crawl needs a CSV file")?;
     let text = std::fs::read_to_string(path).map_err(|e| format!("reading {path}: {e}"))?;
@@ -332,21 +327,11 @@ fn cmd_crawl(args: &[String], resume_from_store: bool) -> Result<(), String> {
         let ms: u64 = ms.parse().map_err(|_| "bad --deadline")?;
         builder = builder.deadline(std::time::Duration::from_millis(ms));
     }
-    let store = flag(&flags, "checkpoint-path").map(CheckpointStore::new);
-    if resume_from_store && store.is_none() {
-        return Err("resume needs --checkpoint-path FILE".into());
+    let journal = flag(&flags, "journal");
+    if resume && journal.is_none() {
+        return Err("resume needs --journal FILE".into());
     }
-    if let Some(ref s) = store {
-        builder = builder.checkpoint_store(s.clone());
-        let every: u64 = flag(&flags, "checkpoint-every")
-            .unwrap_or(&DEFAULT_CHECKPOINT_EVERY.to_string())
-            .parse()
-            .map_err(|_| "bad --checkpoint-every")?;
-        builder = builder.checkpoint_every(every);
-    } else if flag(&flags, "checkpoint-every").is_some() {
-        return Err("--checkpoint-every needs --checkpoint-path FILE".into());
-    }
-    if let Some(journal) = flag(&flags, "journal") {
+    if let Some(journal) = journal {
         builder = builder.journal_path(journal);
     }
     let mem_budget = parse_mem_budget(&flags)?;
@@ -356,14 +341,14 @@ fn cmd_crawl(args: &[String], resume_from_store: bool) -> Result<(), String> {
     let config = builder.build().map_err(|e| e.to_string())?;
 
     let workers = parse_workers(&flags)?;
-    if workers.is_some() && !resume_from_store {
+    if workers.is_some() && !resume {
         return Err("--workers applies to `dwc resume` and `dwc fleet`".into());
     }
 
     let server = build_server(table, interface, mem_budget)?;
 
     if let Some(connections) = parse_connect(&flags)? {
-        if resume_from_store || flag(&flags, "resume").is_some() {
+        if resume {
             return Err("--connect applies to fresh crawls, not resume".into());
         }
         let config_serve = parse_serve_flags(&flags)?.build().map_err(|e| e.to_string())?;
@@ -371,7 +356,7 @@ fn cmd_crawl(args: &[String], resume_from_store: bool) -> Result<(), String> {
         let pool = service.connect_pool(connections).map_err(|e| e.to_string())?;
         let mut crawler = Crawler::new(pool, policy.build(), config);
         seed_crawler(&mut crawler, &flags)?;
-        run_and_report(crawler, &flags, store.as_ref(), n)?;
+        run_and_report(crawler, &flags, n)?;
         let served = service.shutdown();
         eprintln!(
             "service   : {} completed / {} shed ({:.1}% of offered) / {} cancelled",
@@ -391,25 +376,22 @@ fn cmd_crawl(args: &[String], resume_from_store: bool) -> Result<(), String> {
         return Ok(());
     }
 
-    let crawler = if resume_from_store {
-        let s = store.as_ref().expect("checked above");
-        let (cp, from_backup) = s.load_or_backup().map_err(|e| e.to_string())?;
-        if from_backup {
+    let crawler = if let (true, Some(journal)) = (resume, journal) {
+        let path = std::path::Path::new(journal);
+        let rec = StateJournal::recover(path)
+            .map_err(|e| format!("reading journal {journal}: {e}"))?
+            .ok_or_else(|| format!("no journal state in {journal}"))?;
+        if rec.from_backup {
             eprintln!(
-                "primary checkpoint {} unreadable; resumed from backup {}",
-                s.path().display(),
-                s.backup_path().display()
+                "journal {journal} has no intact base; resumed from backup {}",
+                StateJournal::backup_path(path).display()
             );
         }
+        let cp = rec.checkpoint;
         eprintln!("resuming at {} records / {} rounds", cp.records.len(), cp.rounds);
         if let Some(workers) = workers {
             return resume_pooled(server, policy, cp, config, workers, &flags, n);
         }
-        Crawler::resume(&server, policy.build(), &cp, config)
-    } else if let Some(resume_path) = flag(&flags, "resume") {
-        let blob = std::fs::read_to_string(resume_path)
-            .map_err(|e| format!("reading {resume_path}: {e}"))?;
-        let cp = Checkpoint::from_text(&blob).map_err(|e| e.to_string())?;
         Crawler::resume(&server, policy.build(), &cp, config)
     } else {
         let mut crawler = Crawler::new(&server, policy.build(), config);
@@ -417,7 +399,7 @@ fn cmd_crawl(args: &[String], resume_from_store: bool) -> Result<(), String> {
         crawler
     };
 
-    run_and_report(crawler, &flags, store.as_ref(), n)
+    run_and_report(crawler, &flags, n)
 }
 
 /// Adds every `--seed-value ATTR=VALUE` to the crawler, requiring at least
@@ -437,22 +419,20 @@ fn seed_crawler<S: deep_web_crawler::core::DataSource>(
         seeded = true;
     }
     if !seeded {
-        return Err("crawl needs at least one --seed-value ATTR=VALUE (or --resume)".into());
+        return Err("crawl needs at least one --seed-value ATTR=VALUE (or `dwc resume`)".into());
     }
     Ok(())
 }
 
 /// Runs a constructed crawl to its stop condition and prints the report —
 /// generic over the transport, so the in-process and `--connect` paths share
-/// the event streaming, checkpointing, and reporting verbatim.
+/// the event streaming and reporting verbatim.
 fn run_and_report<S: deep_web_crawler::core::DataSource>(
     mut crawler: Crawler<S>,
     flags: &[(String, String)],
-    store: Option<&CheckpointStore>,
     n: usize,
 ) -> Result<(), String> {
-    // Run manually so a checkpoint can be taken at the end regardless of the
-    // stop reason.
+    // Run manually so the stop reason can be reported as it happens.
     if let Some(events_path) = flag(flags, "events") {
         let file = std::fs::File::create(events_path)
             .map_err(|e| format!("creating {events_path}: {e}"))?;
@@ -469,19 +449,8 @@ fn run_and_report<S: deep_web_crawler::core::DataSource>(
             break StopReason::FrontierExhausted;
         }
     };
-    if let Some(cp_path) = flag(flags, "checkpoint") {
-        std::fs::write(cp_path, crawler.checkpoint().to_text())
-            .map_err(|e| format!("writing {cp_path}: {e}"))?;
-        eprintln!("checkpoint written to {cp_path}");
-    }
-    if let Some(s) = store {
-        // Final snapshot so `dwc resume` after a clean exit is a no-op crawl.
-        s.save(&crawler.checkpoint()).map_err(|e| format!("saving checkpoint: {e}"))?;
-        eprintln!(
-            "{} periodic + 1 final checkpoint in {}",
-            crawler.checkpoints_written(),
-            s.path().display()
-        );
+    if let Some(journal) = flag(flags, "journal") {
+        eprintln!("journal   : {journal} (compactions: {})", crawler.checkpoints_written());
     }
     if flag(flags, "stats").is_some() {
         println!(

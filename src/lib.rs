@@ -55,13 +55,13 @@ pub mod prelude {
     pub use dwc_core::policy::{MmmiConfig, PolicyKind, Saturation, SelectionPolicy};
     pub use dwc_core::{
         run_fleet, run_fleet_supervised, shrink_plan, AbortPolicy, AllocationStrategy,
-        BreakerConfig, CancelToken, ChaosKind, ChaosPlan, ChaosState, Checkpoint, CheckpointStore,
-        CircuitBreaker, ClientPool, ConfigError, Connection, CrawlConfig, CrawlError, CrawlEvent,
-        CrawlReport, CrawlTrace, Crawler, DataSource, DomainTable, EventSink, FaultKind, FaultPlan,
+        BreakerConfig, CancelToken, ChaosKind, ChaosPlan, ChaosState, Checkpoint, CircuitBreaker,
+        ClientPool, ConfigError, Connection, CrawlConfig, CrawlError, CrawlEvent, CrawlReport,
+        CrawlTrace, Crawler, DataSource, DomainTable, EventSink, FaultKind, FaultPlan,
         FaultPlanSource, FleetConfig, FleetController, FleetJob, FleetReport, JobHealth, JsonlSink,
         LatencyModel, MemorySink, MetricsRegistry, ProberMode, QueryMode, RateLimit, RetryPolicy,
-        SchedulerStats, ServeConfig, ServiceReport, SourceRequest, SourceService, StopReason,
-        StoreError, Tally, Tenant, TenantId, UsageLedger,
+        SchedulerStats, ServeConfig, ServiceReport, SourceRequest, SourceService, StateJournal,
+        StopReason, Tally, Tenant, TenantId, UsageLedger,
     };
     pub use dwc_datagen::presets::Preset;
     pub use dwc_datagen::{PairedDataset, PairedSpec};

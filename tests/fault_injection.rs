@@ -2,9 +2,9 @@
 //! end to end through the public façade.
 //!
 //! * **Kill and recover** — a fleet job killed mid-crawl by a scheduled
-//!   panic is restarted from its last persisted checkpoint and finishes
-//!   with the same record count as an uninterrupted baseline, at a total
-//!   cost within one checkpoint interval of the baseline.
+//!   panic is restarted from its state journal and finishes with the same
+//!   record count as an uninterrupted baseline, at a total cost within one
+//!   query of the baseline.
 //! * **Circuit breaker** — a job hit by a long fault burst trips its
 //!   per-source breaker, is paused, probed half-open, recovers, and still
 //!   loses zero records.
@@ -15,11 +15,12 @@
 
 use deep_web_crawler::core::fleet::{run_fleet_supervised, FleetConfig, FleetJob};
 use deep_web_crawler::prelude::*;
+use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// A small IMDB-flavoured source: big enough that crawls span many queries
-/// (so checkpoints and slices interleave with faults), capped so one query
+/// (so journal frames and slices interleave with faults), capped so one query
 /// costs a bounded number of pages.
 fn imdb_server(seed: u64) -> Arc<WebDbServer> {
     let table = Preset::Imdb.table(0.002, seed);
@@ -27,7 +28,7 @@ fn imdb_server(seed: u64) -> Arc<WebDbServer> {
     Arc::new(WebDbServer::new(table, spec))
 }
 
-fn scratch_store(name: &str) -> CheckpointStore {
+fn scratch_journal(name: &str) -> PathBuf {
     static N: AtomicU64 = AtomicU64::new(0);
     let dir = std::env::temp_dir().join(format!(
         "dwc-faultinj-{}-{}-{name}",
@@ -35,18 +36,18 @@ fn scratch_store(name: &str) -> CheckpointStore {
         N.fetch_add(1, Ordering::Relaxed)
     ));
     std::fs::create_dir_all(&dir).unwrap();
-    CheckpointStore::new(dir.join("job.ckpt"))
+    dir.join("job.jnl")
 }
 
 /// One supervised job over a faulty view of an IMDB source.
 fn job(
     data_seed: u64,
     plan: FaultPlan,
-    store: Option<CheckpointStore>,
+    journal: Option<PathBuf>,
 ) -> FleetJob<FaultPlanSource<Arc<WebDbServer>>> {
     let mut builder = CrawlConfig::builder().max_requeues(20);
-    if let Some(store) = store {
-        builder = builder.checkpoint_store(store).checkpoint_every(1);
+    if let Some(journal) = journal {
+        builder = builder.journal_path(journal);
     }
     FleetJob {
         source: FaultPlanSource::new(imdb_server(data_seed), plan),
@@ -78,34 +79,34 @@ fn baseline(data_seed: u64) -> deep_web_crawler::core::fleet::FleetReport {
     run_fleet_supervised(vec![job(data_seed, FaultPlan::new(), None)], fleet_config())
 }
 
-/// Kill-and-recover: with a checkpoint after every query, a worker killed by
-/// a mid-crawl panic restarts from disk and redoes at most the one query
+/// Kill-and-recover: with a journal frame after every query, a worker killed
+/// by a mid-crawl panic restarts from disk and redoes at most the one query
 /// that was in flight — so the harvested set matches the uninterrupted
-/// baseline and the cost overshoot is bounded by one checkpoint interval.
+/// baseline and the cost overshoot is bounded by one query.
 #[test]
 fn killed_worker_recovers_from_checkpoint_and_matches_baseline() {
     let clean = baseline(11);
     assert_eq!(clean.worker_restarts(), 0);
-    let store = scratch_store("kill-recover");
+    let journal = scratch_journal("kill-recover");
     let faulted = run_fleet_supervised(
-        vec![job(11, FaultPlan::new().panic_at(25), Some(store.clone()))],
+        vec![job(11, FaultPlan::new().panic_at(25), Some(journal.clone()))],
         fleet_config(),
     );
     assert_eq!(faulted.worker_restarts(), 1, "the scheduled panic kills exactly one worker");
     assert!(!faulted.health[0].abandoned);
-    assert!(store.exists(), "periodic checkpoints persisted");
+    assert!(journal.exists(), "the state journal persisted");
     assert_eq!(
         faulted.sources[0].records, clean.sources[0].records,
         "recovery must not lose or duplicate records"
     );
     assert_eq!(faulted.sources[0].stop, clean.sources[0].stop);
-    // One checkpoint interval is one query here; with the result cap at 40
-    // and pages of 10, redoing the in-flight query costs at most 4 requests
-    // plus that query's retry backoff. 16 elapsed rounds is a safe envelope.
+    // The journal loses at most the in-flight query; with the result cap at
+    // 40 and pages of 10, redoing it costs at most 4 requests plus that
+    // query's retry backoff. 16 elapsed rounds is a safe envelope.
     let slack = 16;
     assert!(
         faulted.total_rounds <= clean.total_rounds + slack,
-        "recovery redid more than one checkpoint interval: {} vs baseline {}",
+        "recovery redid more than the in-flight query: {} vs baseline {}",
         faulted.total_rounds,
         clean.total_rounds
     );
@@ -150,16 +151,16 @@ fn matrix_plan(kind: &str, seed: u64) -> FaultPlan {
 }
 
 /// The matrix invariant: whatever the fault kind and seed, a supervised
-/// fleet with periodic checkpoints harvests exactly the fault-free record
+/// fleet with a state journal harvests exactly the fault-free record
 /// set, and the per-kind side effects show up in the report.
 #[test]
 fn fault_matrix_preserves_the_harvest() {
     let kind = std::env::var("DWC_FAULT_KIND").unwrap_or_else(|_| "mixed".into());
     let seed: u64 = std::env::var("DWC_FAULT_SEED").ok().and_then(|s| s.parse().ok()).unwrap_or(1);
     let clean = baseline(17);
-    let store = scratch_store("matrix");
+    let journal = scratch_journal("matrix");
     let report = run_fleet_supervised(
-        vec![job(17, matrix_plan(&kind, seed), Some(store.clone()))],
+        vec![job(17, matrix_plan(&kind, seed), Some(journal.clone()))],
         fleet_config(),
     );
     assert!(!report.health[0].abandoned, "kind {kind} seed {seed} exhausted its restart budget");
@@ -167,7 +168,7 @@ fn fault_matrix_preserves_the_harvest() {
         report.sources[0].records, clean.sources[0].records,
         "kind {kind} seed {seed} lost records"
     );
-    assert!(store.exists());
+    assert!(journal.exists());
     let r = &report.sources[0];
     match kind.as_str() {
         "stall" => assert!(r.stall_rounds > 0, "stall plan must bill stall rounds"),
