@@ -10,6 +10,7 @@
 //! * the record list itself, over which the MMMI policy's batch
 //!   mutual-information recomputation iterates (§3.3).
 
+use dwc_model::hash::SeededState;
 use dwc_model::{PackedLists, ValueId};
 use std::collections::HashSet;
 
@@ -18,16 +19,21 @@ use std::collections::HashSet;
 /// Records are held in a [`PackedLists`] arena (one flat allocation plus an
 /// offset column) rather than one boxed slice per record: at paper scale the
 /// per-record allocator overhead dominated the record bytes themselves.
+///
+/// The key and edge sets hash with [`SeededState`]: every harvested record
+/// adds its whole clique of edges, so these sets take millions of inserts
+/// per crawl, and each set's random seed keeps source keys and value ids
+/// from colliding on purpose.
 #[derive(Debug, Default)]
 pub struct LocalDb {
-    seen_keys: HashSet<u64>,
+    seen_keys: HashSet<u64, SeededState>,
     /// Source keys in insertion order, parallel to `records`.
     keys: Vec<u64>,
     records: PackedLists<ValueId>,
     value_count: Vec<u32>,
     degree: Vec<u32>,
     /// Packed undirected edge keys `(min << 32) | max` of `G_local`.
-    edges: HashSet<u64>,
+    edges: HashSet<u64, SeededState>,
 }
 
 impl LocalDb {
@@ -87,13 +93,16 @@ impl LocalDb {
         self.keys[start..].iter().copied().zip(self.records.iter_since(start))
     }
 
-    /// Heap bytes held by the record arena and key/statistics columns
-    /// (capacity-based, matching what RSS accounting sees).
+    /// Heap bytes held by the record arena, the key/statistics columns and
+    /// the key and edge sets (capacity-based, matching what RSS accounting
+    /// sees). A set slot costs its `u64` entry plus one control byte.
     pub fn heap_bytes(&self) -> usize {
+        let set_slot = std::mem::size_of::<u64>() + 1;
         self.records.heap_bytes()
             + self.keys.capacity() * std::mem::size_of::<u64>()
             + self.value_count.capacity() * std::mem::size_of::<u32>()
             + self.degree.capacity() * std::mem::size_of::<u32>()
+            + (self.seen_keys.capacity() + self.edges.capacity()) * set_slot
     }
 
     /// Inserts a record if its key is new. `values` are crawler-vocabulary
@@ -213,5 +222,88 @@ mod tests {
         assert!(db.insert(5, vec![]));
         assert_eq!(db.num_records(), 1);
         assert_eq!(db.num_edges(), 0);
+    }
+
+    #[test]
+    fn heap_bytes_counts_the_edge_set() {
+        let mut db = LocalDb::new();
+        db.insert(0, vec![v(0), v(1)]);
+        let mut last = db.heap_bytes();
+        let mut grew = 0;
+        // Each record is 8 new values plus v0: a 9-clique of 36 new edges,
+        // so the edge set outgrows the columns many times over.
+        for key in 1..200u32 {
+            let values: Vec<ValueId> = (0..8).map(|i| v(key * 8 + i)).chain([v(0)]).collect();
+            db.insert(u64::from(key), values);
+            let now = db.heap_bytes();
+            assert!(now >= last, "heap_bytes shrank from {last} to {now}");
+            grew += usize::from(now > last);
+            last = now;
+        }
+        let set_slot = std::mem::size_of::<u64>() + 1;
+        assert!(db.num_edges() > 7_000);
+        assert!(last >= db.num_edges() * set_slot, "{last} bytes for {} edges", db.num_edges());
+        assert!(grew > 10, "heap_bytes grew on only {grew} of 199 inserts");
+    }
+
+    mod parity {
+        use super::*;
+        use proptest::prelude::*;
+        use std::collections::{BTreeMap, BTreeSet};
+
+        /// A value id: mostly from a small pool, so records share values and
+        /// edges, sometimes anywhere below 2^20.
+        fn value() -> impl Strategy<Value = u32> {
+            prop_oneof![0u32..24, 0u32..24, 0u32..(1 << 20)]
+        }
+
+        /// A record stream: keys from a small pool (so some repeat), records
+        /// of 0–9 values (so some are empty and some repeat a value).
+        fn stream() -> impl Strategy<Value = Vec<(u64, Vec<u32>)>> {
+            prop::collection::vec((0u64..48, prop::collection::vec(value(), 0..10)), 0..60)
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(128))]
+
+            /// Counts, degrees and the edge total match a reference built
+            /// from ordered sets.
+            #[test]
+            fn local_db_matches_an_ordered_set_reference(records in stream()) {
+                let mut db = LocalDb::new();
+                let mut keys = BTreeSet::new();
+                let mut counts: BTreeMap<u32, u32> = BTreeMap::new();
+                let mut edges: BTreeSet<(u32, u32)> = BTreeSet::new();
+                for (key, values) in &records {
+                    let new = keys.insert(*key);
+                    prop_assert_eq!(db.insert(*key, values.iter().map(|&x| v(x)).collect()), new);
+                    if !new {
+                        continue;
+                    }
+                    let distinct: BTreeSet<u32> = values.iter().copied().collect();
+                    for &a in &distinct {
+                        *counts.entry(a).or_insert(0) += 1;
+                        for &b in distinct.range(a + 1..) {
+                            edges.insert((a, b));
+                        }
+                    }
+                }
+                let mut degrees: BTreeMap<u32, u32> = BTreeMap::new();
+                for &(a, b) in &edges {
+                    *degrees.entry(a).or_insert(0) += 1;
+                    *degrees.entry(b).or_insert(0) += 1;
+                }
+                prop_assert_eq!(db.num_records(), keys.len());
+                prop_assert_eq!(db.num_edges(), edges.len());
+                let probes = records.iter().flat_map(|(_, vs)| vs.iter().copied()).chain([1 << 20]);
+                for x in probes {
+                    prop_assert_eq!(db.count(v(x)), counts.get(&x).copied().unwrap_or(0));
+                    prop_assert_eq!(db.degree(v(x)), degrees.get(&x).copied().unwrap_or(0));
+                }
+                for &key in &keys {
+                    prop_assert!(db.contains_key(key));
+                }
+            }
+        }
     }
 }

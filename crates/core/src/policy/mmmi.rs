@@ -19,6 +19,7 @@
 use crate::policy::greedy::GreedyLink;
 use crate::policy::SelectionPolicy;
 use crate::state::{CandStatus, CrawlState, QueryOutcome};
+use dwc_model::hash::SeededState;
 use dwc_model::ValueId;
 use dwc_stats::pmi;
 use std::collections::HashMap;
@@ -124,8 +125,11 @@ impl Mmmi {
     /// singleton (no degree).
     fn recompute(&mut self, state: &CrawlState) {
         let n = state.local.num_records();
-        // (candidate, issued) → co-occurrence count.
-        let mut pair_counts: HashMap<(u32, u32), u32> = HashMap::new();
+        // (candidate, issued) → co-occurrence count. Both maps draw fresh
+        // hash seeds per recompute; no ranking step reads their iteration
+        // order (each score is an order-free max), so no seed moves a
+        // selection.
+        let mut pair_counts: HashMap<(u32, u32), u32, SeededState> = HashMap::default();
         let mut scratch_issued: Vec<ValueId> = Vec::new();
         for rec in state.local.records() {
             scratch_issued.clear();
@@ -144,7 +148,7 @@ impl Mmmi {
             }
         }
         // Max PMI per candidate.
-        let mut score: HashMap<u32, f64> = HashMap::new();
+        let mut score: HashMap<u32, f64, SeededState> = HashMap::default();
         for (&(c, q), &co) in &pair_counts {
             let p = pmi(
                 co as usize,
@@ -424,6 +428,45 @@ mod tests {
         let first5_small: Vec<_> = (0..5).map(|_| small.select(&st).unwrap()).collect();
         let first5_full: Vec<_> = (0..5).map(|_| full.select(&st).unwrap()).collect();
         assert_eq!(first5_small, first5_full);
+    }
+
+    #[test]
+    fn selection_never_depends_on_the_hasher_seed() {
+        // 80 values, the first 6 queried, over 300 records of 2–6 values
+        // drawn by a fixed LCG: every candidate co-occurs with several
+        // issued queries, so its score is a max over many map entries.
+        let mut st = CrawlState::new(vec!["A".into()], vec![true], 10);
+        let ids: Vec<ValueId> = (0..80).map(|i| st.intern(AttrId(0), &format!("v{i}"))).collect();
+        for (i, &v) in ids.iter().enumerate() {
+            st.status[v.index()] = if i < 6 { CandStatus::Queried } else { CandStatus::Frontier };
+        }
+        st.queried.extend_from_slice(&ids[..6]);
+        let mut lcg = 0x2545_f491_4f6c_dd1du64;
+        let mut next = |n: u64| {
+            lcg =
+                lcg.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(1_442_695_040_888_963_407);
+            (lcg >> 33) % n
+        };
+        for key in 0..300u64 {
+            let len = 2 + next(5);
+            let values: Vec<ValueId> = (0..len).map(|_| ids[next(80) as usize]).collect();
+            st.local.insert(key, values);
+        }
+        // Batch 4: the 12 selections below span the first ranking and two
+        // batch recomputes, with the queried set growing in between. Every
+        // recompute draws fresh hash seeds, so the two policies never hash
+        // alike.
+        let config = MmmiConfig { trigger: Saturation::Immediately, batch: 4 };
+        let (mut a, mut b) = (Mmmi::new(config), Mmmi::new(config));
+        let mut order = Vec::new();
+        for _ in 0..12 {
+            let (va, vb) = (a.select(&st), b.select(&st));
+            assert_eq!(va, vb, "selections diverged after {order:?}");
+            let v = va.expect("the frontier outlasts 12 selections");
+            st.status[v.index()] = CandStatus::Queried;
+            st.queried.push(v);
+            order.push(v);
+        }
     }
 
     #[test]

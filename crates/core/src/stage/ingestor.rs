@@ -10,6 +10,7 @@
 
 use crate::extract::{ExtractedPageRef, ExtractedRecord, ExtractedRecordRef};
 use crate::state::{CandStatus, CrawlState};
+use dwc_model::hash::SeededState;
 use dwc_model::{AttrId, ValueId};
 use std::collections::HashMap;
 
@@ -20,17 +21,19 @@ use std::collections::HashMap;
 /// `w` (each record counted once; values within a record are deduplicated,
 /// matching [`crate::local::LocalDb`]'s stored form). Same-attribute pairs
 /// are never recorded — conjunctive partners must come from other attributes.
+/// Every record updates a map entry per pair, so the maps hash with
+/// [`SeededState`], each map under a seed of its own.
 #[derive(Debug, Default)]
 pub struct CoOccurrenceIndex {
     enabled: bool,
-    counts: HashMap<ValueId, HashMap<ValueId, u32>>,
+    counts: HashMap<ValueId, HashMap<ValueId, u32, SeededState>, SeededState>,
 }
 
 impl CoOccurrenceIndex {
     /// An index that tracks pairs only when `enabled` (conjunctive mode);
     /// a disabled index costs nothing per ingested record.
     pub fn new(enabled: bool) -> Self {
-        CoOccurrenceIndex { enabled, counts: HashMap::new() }
+        CoOccurrenceIndex { enabled, counts: HashMap::default() }
     }
 
     /// Whether the index records pairs at all.

@@ -15,10 +15,10 @@
 //! [`ValueInterner::intern`], [`ValueInterner::get`] or the batch
 //! [`ValueInterner::intern_page`].
 //!
-//! Hashing is the interner's own business, because interned strings come from
-//! crawled pages and crawled pages are untrusted. Each interner draws a random
-//! seed when it is created and mixes it into every hash, so a page cannot
-//! pick keys that collide without knowing that seed. Probing then starts from
+//! Interned strings come from crawled pages, and crawled pages are untrusted.
+//! Each interner draws a random seed when it is created and hashes with the
+//! shared seeded mixer of [`crate::hash`], so a page cannot pick keys that
+//! collide without knowing that seed. Probing then starts from
 //! the hash's high bits (Fibonacci hashing), so keys that differ only in a
 //! few bytes still land far apart. Together they keep interning linear-time
 //! on regular-looking and hostile key sets alike;
@@ -27,6 +27,7 @@
 //! resolves every id it held. Ids never depend on the seed: they are
 //! assigned in insertion order.
 
+use crate::hash::{fold_bytes, mix, random_seed, FIB_MUL};
 use std::fmt;
 
 /// Identifier of an attribute (column) in the universal table.
@@ -57,52 +58,13 @@ impl fmt::Display for AttrId {
     }
 }
 
-/// Multiplier of the per-word fold (the 64-bit FxHash constant). Not
-/// cryptographic — chosen for throughput on short identifier-like strings.
-const FOLD_MUL: u64 = 0x51_7c_c1_b7_27_22_0a_95;
-
-/// Fibonacci-hashing multiplier: 2^64 divided by the golden ratio.
-const FIB_MUL: u64 = 0x9E37_79B9_7F4A_7C15;
-
-/// Mixes one 8-byte word into the hash state: a full 64×64→128-bit multiply
-/// folded back to 64 bits by XOR-ing its halves. Unlike a plain
-/// multiply-xor step, flipping input bits changes the output by an amount
-/// that depends on the (seeded) state, so there is no fixed bit difference
-/// between two keys that collides under every seed.
-#[inline]
-fn mix(state: u64, word: u64) -> u64 {
-    let product = u128::from(state ^ word) * u128::from(FOLD_MUL);
-    (product as u64) ^ ((product >> 64) as u64)
-}
-
 /// Seeded hash of an `(attribute, string)` pair, folding eight bytes per
 /// multiply. The length and attribute open the state, so the zero padding of
 /// a trailing partial word never makes `"a"` and `"a\0"` collide.
 #[inline]
 fn value_hash(seed: u64, attr: AttrId, value: &str) -> u64 {
     let bytes = value.as_bytes();
-    let mut h = mix(seed, ((bytes.len() as u64) << 16) | u64::from(attr.0));
-    let mut chunks = bytes.chunks_exact(8);
-    for chunk in &mut chunks {
-        let word = u64::from_le_bytes(chunk.try_into().expect("chunks_exact yields 8 bytes"));
-        h = mix(h, word);
-    }
-    let rem = chunks.remainder();
-    if !rem.is_empty() {
-        let mut word = [0u8; 8];
-        word[..rem.len()].copy_from_slice(rem);
-        h = mix(h, u64::from_le_bytes(word));
-    }
-    h
-}
-
-/// A fresh random hash seed, drawn from the standard library's per-process
-/// random keys (each `RandomState` also differs from the last one built).
-fn random_seed() -> u64 {
-    use std::hash::{BuildHasher, Hasher};
-    let mut hasher = std::collections::hash_map::RandomState::new().build_hasher();
-    hasher.write_u64(0);
-    hasher.finish()
+    fold_bytes(mix(seed, ((bytes.len() as u64) << 16) | u64::from(attr.0)), bytes)
 }
 
 /// The slot a probe for `hash` starts at, in a table of `slots` slots (a

@@ -10,6 +10,8 @@
 //!
 //! This crate provides:
 //!
+//! * [`hash`] — the seeded fold-multiply hasher shared by the interner and
+//!   the crawler's hot maps ([`hash::SeededState`]),
 //! * [`interner`] — attribute-qualified value interning ([`ValueId`]s),
 //! * [`schema`] — attribute metadata and interface schemas (Definition 2.2),
 //! * [`table`] — the universal table ([`UniversalTable`]) with its distinct
@@ -32,6 +34,7 @@ pub mod degree;
 pub mod domset;
 pub mod fixtures;
 pub mod graph;
+pub mod hash;
 pub mod interner;
 pub mod packed;
 pub mod schema;
